@@ -10,7 +10,9 @@ sweep below the per-v-pin cutoff.
 
 For every metric computed above the cutoff the result is *exact*:
 a pair survives iff it is in the top-K of at least one of its two
-endpoints, and LoC sizes up to K per v-pin are unaffected.
+endpoints, and LoC sizes up to K per v-pin are unaffected.  Which of
+several candidates tied *at* a v-pin's K-th best probability survives
+follows the tie rule documented on :class:`TopKTracker`.
 """
 
 from __future__ import annotations
@@ -19,19 +21,38 @@ import time
 
 import numpy as np
 
+from ..obs.metrics import counter
 from ..splitmfg.featurize_engine import PairFeaturizer
-from ..splitmfg.sampling import max_chunk_rows
+from ..splitmfg.sampling import COORD_TOL, max_chunk_rows
 from ..splitmfg.split import SplitView
 from .framework import TrainedAttack, _candidate_chunks
 from .result import AttackResult
 
 
+#: Most merged-row entries (stored K plus arrivals, summed over v-pins)
+#: that one batch of :meth:`TopKTracker._merge_side` builds at once.
+#: Bounds the flat merge buffers to a few MB however large the merge.
+MERGE_BATCH_ENTRIES = 1 << 17
+
+
 class TopKTracker:
     """Streaming per-v-pin top-K accumulator.
 
-    Fixed (n, K) arrays of partner ids and probabilities; each ``update``
-    merges a chunk.  ``harvest`` returns the union of the per-v-pin lists
-    as deduplicated pair arrays.
+    Fixed ``(n, K)`` arrays of partner ids and probabilities, each row
+    best first; ``-1`` / ``-inf`` pad v-pins with fewer than K
+    candidates.  ``update`` merges a scored chunk, ``merge_state``
+    another tracker's state, and ``harvest`` returns the union of the
+    per-v-pin lists as deduplicated pair arrays.
+
+    **Tie rule.**  A merge forms, for each touched v-pin, the row [its K
+    stored entries in stored order, then its new candidates in arrival
+    order], sorts it with NumPy's default (unstable) ``argsort`` and
+    keeps the last K indices, reversed.  Tree-ensemble probabilities tie
+    constantly at the K boundary, and which tied candidate survives is
+    whatever that sort does with exactly these row bytes.  Boundary-tie
+    membership therefore depends on ``chunk_size``, on the shard count
+    of a sharded pass, and on the CPU's SIMD sort kernel; every metric
+    strictly above the K-th best probability does not.
     """
 
     def __init__(self, n_vpins: int, k: int) -> None:
@@ -43,22 +64,78 @@ class TopKTracker:
         self._prob = np.full((n_vpins, k), -np.inf)
 
     def _merge_side(self, ids: np.ndarray, partners: np.ndarray, probs: np.ndarray) -> None:
-        # Process each v-pin's new candidates grouped; simple loop over
-        # unique ids keeps it O(chunk + touched * K log K).
-        order = np.argsort(ids, kind="stable")
-        ids, partners, probs = ids[order], partners[order], probs[order]
-        boundaries = np.nonzero(np.diff(ids))[0] + 1
-        for chunk_ids, chunk_partners, chunk_probs in zip(
-            np.split(ids, boundaries),
-            np.split(partners, boundaries),
-            np.split(probs, boundaries),
-        ):
-            v = int(chunk_ids[0])
-            merged_p = np.concatenate([self._prob[v], chunk_probs])
-            merged_partner = np.concatenate([self._partner[v], chunk_partners])
-            top = np.argsort(merged_p)[::-1][: self.k]
-            self._prob[v] = merged_p[top]
-            self._partner[v] = merged_partner[top]
+        # Group the arrivals by v-pin, keeping arrival order within a
+        # group.  Only the ids are permuted; ``order`` maps a grouped
+        # position back to its arrival.  The i side of iter_all_pairs and
+        # merge_state arrive grouped already (a stable sort of a sorted
+        # array is the identity), so they skip the sort.
+        order = None
+        if (ids[1:] < ids[:-1]).any():
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+        first = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        count = np.diff(np.append(first, len(ids)))
+        # Visit v-pins by candidate count so that rows of equal length
+        # sit next to each other in each batch's flat buffer.
+        by_count = np.argsort(count, kind="stable")
+        ends = np.cumsum(count[by_count] + self.k)
+        lo = 0
+        while lo < len(by_count):
+            base = ends[lo - 1] if lo else 0
+            hi = int(np.searchsorted(ends, base + MERGE_BATCH_ENTRIES, side="right"))
+            batch = by_count[lo : max(hi, lo + 1)]
+            self._merge_rows(
+                ids[first[batch]], first[batch], count[batch], order, partners, probs
+            )
+            lo += len(batch)
+
+    def _merge_rows(
+        self,
+        vs: np.ndarray,
+        first: np.ndarray,
+        count: np.ndarray,
+        order: np.ndarray | None,
+        partners: np.ndarray,
+        probs: np.ndarray,
+    ) -> None:
+        """Merge grouped arrivals ``first[g] : first[g] + count[g]`` into
+        v-pin ``vs[g]``, for v-pins ordered by ``count``; ``order`` maps
+        grouped positions to indices of ``partners`` / ``probs`` (``None``:
+        the identity).
+
+        Every merged row is laid out back to back in one flat buffer, so
+        the rows of one length form a C-contiguous 2-D block.  NumPy's
+        ``argsort(axis=1)`` sorts each row of such a block with the same
+        1-D kernel it uses for a lone row, so one call per length gives
+        the bytes a per-v-pin sort would -- ties included.
+        """
+        k = self.k
+        length = count + k
+        offset = np.cumsum(length) - length
+        flat_p = np.empty(int(offset[-1] + length[-1]))
+        flat_q = np.empty(len(flat_p), dtype=np.int64)
+        stored = offset[:, None] + np.arange(k)
+        flat_p[stored] = self._prob[vs]
+        flat_q[stored] = self._partner[vs]
+        # Arrival r of v-pin g moves from first[g] + r to offset[g] + k + r.
+        before = np.cumsum(count) - count
+        rank = np.arange(int(before[-1] + count[-1]))
+        arrivals = rank + np.repeat(first - before, count)
+        if order is not None:
+            arrivals = order[arrivals]
+        slot = rank + np.repeat(offset + k - before, count)
+        flat_p[slot] = probs[arrivals]
+        flat_q[slot] = partners[arrivals]
+        top = np.empty((len(vs), k), dtype=np.int64)
+        edges = [0, *(np.flatnonzero(np.diff(length)) + 1).tolist(), len(vs)]
+        widths, starts = length.tolist(), offset.tolist()
+        for a, b in zip(edges, edges[1:]):
+            width, start = widths[a], starts[a]
+            block = flat_p[start : start + (b - a) * width].reshape(b - a, width)
+            top[a:b] = block.argsort(axis=1)[:, ::-1][:, :k]
+        top += offset[:, None]
+        self._prob[vs] = flat_p[top]
+        self._partner[vs] = flat_q[top]
 
     def update(self, i: np.ndarray, j: np.ndarray, p: np.ndarray) -> None:
         """Merge a scored chunk of pairs (both directions)."""
@@ -131,10 +208,10 @@ def evaluate_attack_topk(
         trained, view, chunk_size, filter_legal=not all_pairs
     ):
         if trained.limit_axis == "y":
-            aligned = np.abs(arr["vy"][i] - arr["vy"][j]) <= 1e-6
+            aligned = np.abs(arr["vy"][i] - arr["vy"][j]) <= COORD_TOL
             i, j = i[aligned], j[aligned]
         elif trained.limit_axis == "x":
-            aligned = np.abs(arr["vx"][i] - arr["vx"][j]) <= 1e-6
+            aligned = np.abs(arr["vx"][i] - arr["vx"][j]) <= COORD_TOL
             i, j = i[aligned], j[aligned]
         if all_pairs:
             i, j, X = featurizer.legal_rows_into(i, j, buffer)
@@ -145,6 +222,8 @@ def evaluate_attack_topk(
         p = trained.model.predict_proba(X)
         tracker.update(i, j, p)
         n_evaluated += len(i)
+    counter("pairs_featurized").inc(n_evaluated)
+    counter("candidates_scored").inc(n_evaluated)
     pair_i, pair_j, prob = tracker.harvest()
     return AttackResult(
         view=view,
