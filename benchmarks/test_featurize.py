@@ -7,16 +7,24 @@ single-pass NumPy path versus the legacy per-feature
 ``compute_pair_features``.  With a C compiler the kernel must beat the
 legacy path by >= 3x (the featurization acceptance bar); the fused
 NumPy fallback must manage >= 1.5x.  All three must produce
-byte-identical matrices -- asserted here on the benchmarked runs.
+byte-identical matrices -- asserted here on the benchmarked runs.  The
+NumPy cases patch :func:`repro._ckernel.load` to return ``None``,
+exactly as the tests' ``kernels`` fixture does.
 """
 
 import numpy as np
 import pytest
 
-from repro.splitmfg.featurize_engine import PairFeaturizer, has_ckernel
+from repro import _ckernel
+from repro.splitmfg import featurize_engine
+from repro.splitmfg.featurize_engine import PairFeaturizer
 from repro.splitmfg.pair_features import FEATURES_11, compute_pair_features
 from repro.splitmfg.split import SplitView, VPin
 from repro.layout.geometry import Point
+
+needs_ckernel = pytest.mark.skipif(
+    featurize_engine._kernel() is None, reason="no C compiler available"
+)
 
 N_PAIRS = 1_000_000
 N_VPINS = 1_500  # C(1500, 2) > 1M: pair indices never repeat a pair
@@ -74,9 +82,14 @@ def test_featurize_legacy(benchmark, featurize_problem):
     assert X.shape == (N_PAIRS, 11)
 
 
-def test_featurize_fused_numpy(benchmark, featurize_problem):
+def _without_kernels(monkeypatch):
+    monkeypatch.setattr(_ckernel, "load", lambda *args: None)
+
+
+def test_featurize_fused_numpy(benchmark, featurize_problem, monkeypatch):
     view, i, j = featurize_problem
-    featurizer = PairFeaturizer(view, FEATURES_11, engine="numpy")
+    _without_kernels(monkeypatch)
+    featurizer = PairFeaturizer(view, FEATURES_11)
     out = featurizer.out_buffer(N_PAIRS)
     X = benchmark.pedantic(
         lambda: featurizer.rows_into(i, j, out), rounds=3, iterations=1
@@ -84,10 +97,10 @@ def test_featurize_fused_numpy(benchmark, featurize_problem):
     assert X.shape == (N_PAIRS, 11)
 
 
-@pytest.mark.skipif(not has_ckernel(), reason="no C compiler available")
+@needs_ckernel
 def test_featurize_ckernel(benchmark, featurize_problem):
     view, i, j = featurize_problem
-    featurizer = PairFeaturizer(view, FEATURES_11, engine="c")
+    featurizer = PairFeaturizer(view, FEATURES_11)
     out = featurizer.out_buffer(N_PAIRS)
     X = benchmark.pedantic(
         lambda: featurizer.rows_into(i, j, out), rounds=3, iterations=1
@@ -110,13 +123,13 @@ def test_featurize_speedup_meets_bar(featurize_problem):
             best = min(best, time.perf_counter() - start)
         return best, result
 
-    if has_ckernel():  # warm the kernel before clocking
-        PairFeaturizer(view, FEATURES_11, engine="c").rows(i[:64], j[:64])
-
+    has_ckernel = featurize_engine._kernel() is not None  # warms the kernel
     legacy_s, legacy = clock(
         lambda: compute_pair_features(view, i, j, FEATURES_11)
     )
-    fused = PairFeaturizer(view, FEATURES_11, engine="numpy")
+    with pytest.MonkeyPatch.context() as patch:
+        _without_kernels(patch)
+        fused = PairFeaturizer(view, FEATURES_11)
     fused_out = fused.out_buffer(N_PAIRS)
     numpy_s, fused_X = clock(lambda: fused.rows_into(i, j, fused_out))
     assert fused_X.tobytes() == legacy.tobytes()
@@ -125,8 +138,8 @@ def test_featurize_speedup_meets_bar(featurize_problem):
         f"\nlegacy {legacy_s:.3f}s, fused numpy {numpy_s:.3f}s "
         f"({numpy_speedup:.1f}x)"
     )
-    if has_ckernel():
-        compiled = PairFeaturizer(view, FEATURES_11, engine="c")
+    if has_ckernel:
+        compiled = PairFeaturizer(view, FEATURES_11)
         c_out = compiled.out_buffer(N_PAIRS)
         c_s, c_X = clock(lambda: compiled.rows_into(i, j, c_out))
         assert c_X.tobytes() == legacy.tobytes()

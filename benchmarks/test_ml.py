@@ -2,18 +2,31 @@
 
 The headline comparison is the one the fit engine exists for: fitting a
 REPTree on a paper-scale training set (100k samples, the 11-feature
-set) through the seed's per-node-argsort grower versus the presorted
-NumPy scan and the compiled split-search kernel.  With a C compiler the
-kernel must beat the reference grower by >= 3x (the training acceptance
-bar); the NumPy presorted fallback must manage >= 1.5x.  All three must
-grow bit-identical trees -- asserted here on the benchmarked fits.
+set) through the per-node-argsort grower kept as the test oracle
+(``tests/ml/tree_oracle.py``) versus the presorted NumPy scan and the
+compiled split-search kernel.  With a C compiler the kernel must beat
+the reference grower by >= 3x (the training acceptance bar); the NumPy
+presorted fallback must manage >= 1.5x.  All three must grow
+bit-identical trees -- asserted here on the benchmarked fits.  The NumPy
+cases patch :func:`repro._ckernel.load` to return ``None``, exactly as
+the tests' ``kernels`` fixture does.
 """
 
 import numpy as np
 import pytest
 
-from repro.ml.fit_engine import has_ckernel
+from repro import _ckernel
+from repro.ml import fit_engine
 from repro.ml.tree import REPTree
+from tests.ml.tree_oracle import OracleREPTree
+
+needs_ckernel = pytest.mark.skipif(
+    fit_engine._kernel() is None, reason="no C compiler available"
+)
+
+
+def _without_kernels(monkeypatch):
+    monkeypatch.setattr(_ckernel, "load", lambda *args: None)
 
 N_SAMPLES = 100_000
 N_FEATURES = 11  # the paper's 11-feature configuration
@@ -61,28 +74,29 @@ def _frozen_tuple(model):
 def test_fit_reference(benchmark, training_problem):
     X, y = training_problem
     model = benchmark.pedantic(
-        lambda: REPTree(seed=3, engine="reference").fit(X, y),
+        lambda: OracleREPTree(seed=3).fit(X, y),
         rounds=3,
         iterations=1,
     )
     assert model.n_nodes > 1
 
 
-def test_fit_presorted_numpy(benchmark, training_problem):
+def test_fit_presorted_numpy(benchmark, training_problem, monkeypatch):
     X, y = training_problem
+    _without_kernels(monkeypatch)
     model = benchmark.pedantic(
-        lambda: REPTree(seed=3, engine="numpy").fit(X, y),
+        lambda: REPTree(seed=3).fit(X, y),
         rounds=3,
         iterations=1,
     )
     assert model.n_nodes > 1
 
 
-@pytest.mark.skipif(not has_ckernel(), reason="no C compiler available")
+@needs_ckernel
 def test_fit_ckernel(benchmark, training_problem):
     X, y = training_problem
     model = benchmark.pedantic(
-        lambda: REPTree(seed=3, engine="c").fit(X, y),
+        lambda: REPTree(seed=3).fit(X, y),
         rounds=3,
         iterations=1,
     )
@@ -138,27 +152,27 @@ def test_fit_speedup_meets_training_bar(training_problem):
 
     X, y = training_problem
 
-    def clock(engine):
+    def clock(tree_class):
         best, fitted = float("inf"), None
         for _ in range(3):
             start = time.perf_counter()
-            fitted = REPTree(seed=3, engine=engine).fit(X, y)
+            fitted = tree_class(seed=3).fit(X, y)
             best = min(best, time.perf_counter() - start)
         return best, fitted
 
-    if has_ckernel():
-        REPTree(seed=3, engine="c").fit(X[:512], y[:512])  # warm the kernel
-
-    reference_s, reference = clock("reference")
-    numpy_s, presorted = clock("numpy")
+    has_ckernel = fit_engine._kernel() is not None  # also warms the kernel
+    reference_s, reference = clock(OracleREPTree)
+    with pytest.MonkeyPatch.context() as patch:
+        _without_kernels(patch)
+        numpy_s, presorted = clock(REPTree)
     assert _frozen_tuple(presorted) == _frozen_tuple(reference)
     numpy_speedup = reference_s / numpy_s
     line = (
         f"\nreference {reference_s:.3f}s, numpy {numpy_s:.3f}s "
         f"({numpy_speedup:.1f}x)"
     )
-    if has_ckernel():
-        c_s, compiled = clock("c")
+    if has_ckernel:
+        c_s, compiled = clock(REPTree)
         assert _frozen_tuple(compiled) == _frozen_tuple(reference)
         c_speedup = reference_s / c_s
         print(line + f", c {c_s:.3f}s ({c_speedup:.1f}x)")

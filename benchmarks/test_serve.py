@@ -2,18 +2,24 @@
 
 The headline comparison is the one the serving subsystem exists for:
 scoring >= 100k candidate pairs with a Bagging-10 ensemble through the
-per-estimator reference loop versus the stacked-tree engine.  With a C
-compiler available the engine must beat the loop by >= 5x (the serving
-acceptance bar); the pure-NumPy fallback is benchmarked separately.
+per-estimator reference loop (the test oracle,
+``tests/serve/predict_oracle.py``) versus the stacked-tree engine.  With
+a C compiler available the engine must beat the loop by >= 5x (the
+serving acceptance bar); the pure-NumPy fallback, selected by patching
+:func:`repro._ckernel.load` to return ``None``, is benchmarked
+separately.
 """
 
 import numpy as np
 import pytest
 
+from repro import _ckernel
 from repro.ml.bagging import Bagging
-from repro.serve.engine import StackedEnsemble, has_ckernel
+from repro.serve import engine as serve_engine
+from repro.serve.engine import StackedEnsemble
 from repro.splitmfg.pair_features import FEATURES_11, compute_pair_features
 from repro.splitmfg.sampling import build_training_set, iter_all_pairs
+from tests.serve.predict_oracle import looped_predict_proba
 
 MIN_PAIRS = 100_000
 
@@ -44,7 +50,7 @@ def scoring_problem(views6, views4):
 def test_inference_looped_reference(benchmark, scoring_problem):
     model, X = scoring_problem
     prob = benchmark.pedantic(
-        lambda: model.predict_proba_looped(X), rounds=3, iterations=1
+        lambda: looped_predict_proba(model, X), rounds=3, iterations=1
     )
     assert len(prob) == MIN_PAIRS
 
@@ -53,16 +59,15 @@ def test_inference_stacked_engine(benchmark, scoring_problem):
     model, X = scoring_problem
     engine = StackedEnsemble.from_model(model)
     prob = benchmark.pedantic(lambda: engine.predict_proba(X), rounds=3, iterations=1)
-    assert np.array_equal(prob, model.predict_proba_looped(X))
+    assert np.array_equal(prob, looped_predict_proba(model, X))
 
 
-def test_inference_stacked_numpy_fallback(benchmark, scoring_problem):
+def test_inference_stacked_numpy_fallback(benchmark, scoring_problem, monkeypatch):
     model, X = scoring_problem
     engine = StackedEnsemble.from_model(model)
-    prob = benchmark.pedantic(
-        lambda: engine.predict_proba(X, kernel="numpy"), rounds=3, iterations=1
-    )
-    assert np.array_equal(prob, model.predict_proba_looped(X))
+    monkeypatch.setattr(_ckernel, "load", lambda *args: None)
+    prob = benchmark.pedantic(lambda: engine.predict_proba(X), rounds=3, iterations=1)
+    assert np.array_equal(prob, looped_predict_proba(model, X))
 
 
 def test_speedup_meets_serving_bar(scoring_problem):
@@ -82,11 +87,11 @@ def test_speedup_meets_serving_bar(scoring_problem):
             best = min(best, time.perf_counter() - start)
         return best
 
-    looped = clock(lambda: model.predict_proba_looped(X))
+    looped = clock(lambda: looped_predict_proba(model, X))
     stacked = clock(lambda: engine.predict_proba(X))
     speedup = looped / stacked
     print(f"\nlooped {looped:.3f}s, stacked {stacked:.3f}s, speedup {speedup:.1f}x")
-    if has_ckernel():
+    if serve_engine._kernel() is not None:
         assert speedup >= 5.0, f"only {speedup:.1f}x over the reference loop"
     else:
         assert speedup >= 1.0, f"fallback slower than the loop ({speedup:.2f}x)"

@@ -13,10 +13,11 @@ clients.  Gates:
 * the batched server shows its ``serving_*`` metrics;
 * on machines with >= 4 cores, batched throughput >= 2x unbatched.
 
-Both servers run with ``REPRO_SERVE_NO_CKERNEL=1``: the NumPy fallback
-kernel pays a large per-invocation Python cost, which is exactly what
-coalescing amortises (the C kernel already releases the GIL, so the
-contrast there is hardware-dependent).  Scale knobs:
+Both servers run with ``CC=false``, so no C kernel compiles and they
+score through the NumPy engines: the NumPy traversal pays a large
+per-invocation Python cost, which is exactly what coalescing amortises
+(the C kernel already releases the GIL, so the contrast there is
+hardware-dependent).  Scale knobs:
 ``REPRO_SERVE_LOAD_CLIENTS`` (default 8) and
 ``REPRO_SERVE_LOAD_REQUESTS`` (default 8 per client).
 """
@@ -92,7 +93,7 @@ class ServerProc:
             env={
                 **os.environ,
                 "PYTHONPATH": str(REPO_ROOT / "src"),
-                "REPRO_SERVE_NO_CKERNEL": "1",
+                "CC": "false",
             },
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,

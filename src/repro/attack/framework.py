@@ -5,10 +5,12 @@ Implements the paper's Fig. 1 pipeline around a trained classifier:
 * :func:`train_attack` -- build the balanced training set from the
   training views (with the Imp neighborhood and/or the "Y" limit when the
   configuration asks for them) and fit the Bagging classifier;
-* :func:`evaluate_attack` -- enumerate candidate pairs of a test view
-  (all legal pairs for ``ML``, neighborhood pairs for ``Imp``), classify
-  them in bounded-memory chunks, and record the probability of every pair
-  (Section III-F: thresholds are applied *afterwards*);
+* :func:`score_candidates` -- the one candidate -> featurize -> predict
+  stream: enumerate candidate pairs of a test view (all legal pairs for
+  ``ML``, neighborhood pairs for ``Imp``) and classify them in
+  bounded-memory chunks;
+* :func:`evaluate_attack` -- record the probability of every candidate
+  pair (Section III-F: thresholds are applied *afterwards*);
 * :func:`run_loo` -- leave-one-out cross validation over a suite.
 """
 
@@ -16,12 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
 from ..ml.backends import ClassifierBackend, create_backend
-from ..ml.fit_engine import active_engine
 from ..obs.logging import get_logger
 from ..obs.metrics import counter
 from ..obs.trace import span
@@ -36,11 +37,10 @@ from ..runtime import (
     view_content_hash,
 )
 from ..splitmfg.featurize_engine import PairFeaturizer
-from ..splitmfg.pair_features import legal_pair_mask
 from ..splitmfg.sampling import (
-    COORD_TOL,
     NeighborhoodIndex,
     TrainingSet,
+    axis_aligned,
     build_training_set,
     iter_all_pairs,
     max_chunk_rows,
@@ -191,10 +191,7 @@ def train_attack(
                     cache.put(key, {"X": training_set.X, "y": training_set.y})
             build.set(source=source, n_samples=training_set.n_samples)
         with span(
-            "fit",
-            backend=config.backend,
-            n_estimators=config.n_estimators,
-            engine=active_engine(),
+            "fit", backend=config.backend, n_estimators=config.n_estimators
         ):
             model_seed = int(
                 np.random.default_rng(model_sequence).integers(2**63)
@@ -223,33 +220,60 @@ def train_attack(
 
 def _candidate_chunks(
     trained: TrainedAttack,
-    view: SplitView,
+    view: SplitView | Mapping[str, np.ndarray],
     chunk_size: int,
-    filter_legal: bool = True,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Candidate pair chunks per the configuration's testing rule.
+    rows: tuple[int, int | None],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Featurized candidate chunks ``(i, j, X)`` per the testing rule.
 
-    ``filter_legal=False`` skips the all-pairs legality mask so a caller
-    can fold it into featurization instead
-    (:meth:`~repro.splitmfg.featurize_engine.PairFeaturizer
-    .legal_rows_into`); neighborhood chunks come from the KD-tree
-    pre-filtered either way.  Masks preserve pair order, so the union of
-    the surviving pairs is identical for both settings.
+    ``ML`` configurations walk every pair of triangle ``rows``
+    (:func:`~repro.splitmfg.sampling.iter_all_pairs`) and fold the
+    legality rule into featurization; ``Imp`` configurations cut the
+    KD-tree's legal neighborhood pairs into ``chunk_size`` slices.  Pairs
+    violating the "Y" limit (when active) are dropped before featurizing.
+    ``X`` is a view into one reused buffer.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if trained.neighborhood is not None:
-        radius = neighborhood_radius(view, trained.neighborhood)
-        i, j = NeighborhoodIndex(view, radius).candidate_pairs()
-        for start in range(0, len(i), chunk_size):
-            yield i[start : start + chunk_size], j[start : start + chunk_size]
-    else:
-        for i, j in iter_all_pairs(len(view), chunk_size):
-            if filter_legal:
-                legal = legal_pair_mask(view, i, j)
-                yield i[legal], j[legal]
-            else:
-                yield i, j
+    featurizer = PairFeaturizer(view, trained.config.features)
+    buffer = featurizer.out_buffer(max_chunk_rows(featurizer.n, chunk_size))
+    axis = trained.limit_axis
+    if trained.neighborhood is None:
+        for i, j in iter_all_pairs(featurizer.n, chunk_size, *rows):
+            if axis is not None:
+                keep = axis_aligned(featurizer.columns, i, j, axis)
+                i, j = i[keep], j[keep]
+            yield featurizer.legal_rows_into(i, j, buffer)
+        return
+    radius = neighborhood_radius(view, trained.neighborhood)
+    pair_i, pair_j = NeighborhoodIndex(view, radius).candidate_pairs()
+    for start in range(0, len(pair_i), chunk_size):
+        i = pair_i[start : start + chunk_size]
+        j = pair_j[start : start + chunk_size]
+        if axis is not None:
+            keep = axis_aligned(featurizer.columns, i, j, axis)
+            i, j = i[keep], j[keep]
+        yield i, j, featurizer.rows_into(i, j, buffer)
+
+
+def score_candidates(
+    trained: TrainedAttack,
+    view: SplitView | Mapping[str, np.ndarray],
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    rows: tuple[int, int | None] = (0, None),
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Stream ``(i, j, X, p)`` for every non-empty candidate chunk.
+
+    The paper's Fig. 1 pipeline in one loop: candidate pairs ``(i, j)``,
+    their feature rows ``X`` (a view into a reused buffer -- consume it
+    before the next chunk) and the classifier probabilities ``p``.
+    ``view`` may also be a mapping of the v-pin columns (how pool
+    workers read shared memory) for all-pairs configurations, whose
+    enumeration ``rows`` restricts to one shard of the pair triangle.
+    """
+    for i, j, X in _candidate_chunks(trained, view, chunk_size, rows):
+        if len(i):
+            yield i, j, X, trained.model.predict_proba(X)
 
 
 def _candidate_key(trained: TrainedAttack, view: SplitView) -> str:
@@ -268,6 +292,21 @@ def _candidate_key(trained: TrainedAttack, view: SplitView) -> str:
         trained.neighborhood,
         trained.limit_axis,
     )
+
+
+def _replay(
+    trained: TrainedAttack, cache: FeatureCache, key: str, n_chunks: int
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]] | None:
+    """Score a cached candidate family; ``None`` if a chunk is missing."""
+    out_i, out_j, out_p = [], [], []
+    for index in range(n_chunks):
+        entry = cache.get_chunk(key, index)
+        if entry is None:
+            return None
+        out_i.append(entry["i"])
+        out_j.append(entry["j"])
+        out_p.append(trained.model.predict_proba(entry["X"]))
+    return out_i, out_j, out_p
 
 
 def evaluate_attack(
@@ -299,108 +338,43 @@ def evaluate_attack(
         "evaluate", design=view.design_name, config=trained.config.name
     ) as outer:
         key = _candidate_key(trained, view) if cache is not None else None
-        stored = (
-            cache.get(key) if cache is not None and key is not None else None
-        )
-        out_i: list[np.ndarray] = []
-        out_j: list[np.ndarray] = []
-        out_p: list[np.ndarray] = []
-        n_evaluated = 0
-        replayed = False
-        if stored is not None and ("X" in stored or "n_chunks" in stored):
+        stored = cache.get(key) if key is not None else None
+        parts = None
+        if stored is not None and "n_chunks" in stored:
             with span("score", candidates="cache"):
-                if "X" in stored:  # legacy single-entry format
-                    pair_i, pair_j = stored["i"], stored["j"]
-                    X_all = stored["X"]
-                    for begin in range(0, len(pair_i), chunk_size):
-                        out_p.append(
-                            trained.model.predict_proba(
-                                X_all[begin : begin + chunk_size]
-                            )
-                        )
-                    prob = np.concatenate(out_p) if out_p else np.zeros(0)
-                    n_evaluated = len(pair_i)
-                    replayed = True
-                else:
-                    replayed = True
-                    for index in range(int(stored["n_chunks"])):
-                        entry = cache.get_chunk(key, index)
-                        if entry is None:  # family incomplete: re-featurize
-                            out_i, out_j, out_p = [], [], []
-                            replayed = False
-                            break
-                        out_i.append(entry["i"])
-                        out_j.append(entry["j"])
-                        out_p.append(trained.model.predict_proba(entry["X"]))
-                    if replayed:
-                        if out_i:
-                            pair_i = np.concatenate(out_i)
-                            pair_j = np.concatenate(out_j)
-                            prob = np.concatenate(out_p)
-                        else:
-                            pair_i = np.zeros(0, dtype=int)
-                            pair_j = np.zeros(0, dtype=int)
-                            prob = np.zeros(0)
-                        n_evaluated = len(pair_i)
-        if not replayed:
-            arr = view.arrays()
-            featurizer = PairFeaturizer(view, trained.config.features)
-            buffer = featurizer.out_buffer(
-                max_chunk_rows(len(view), chunk_size)
-            )
-            all_pairs = trained.neighborhood is None
-            caching = cache is not None and key is not None
-            stored_bytes = 0
-            n_chunks = 0
+                parts = _replay(trained, cache, key, int(stored["n_chunks"]))
+        if parts is None:
             out_i, out_j, out_p = [], [], []
-            with span(
-                "score", candidates="featurized", engine=featurizer.engine
-            ):
-                for i, j in _candidate_chunks(
-                    trained, view, chunk_size, filter_legal=not all_pairs
-                ):
-                    if trained.limit_axis == "y":
-                        aligned = np.abs(arr["vy"][i] - arr["vy"][j]) <= COORD_TOL
-                        i, j = i[aligned], j[aligned]
-                    elif trained.limit_axis == "x":
-                        aligned = np.abs(arr["vx"][i] - arr["vx"][j]) <= COORD_TOL
-                        i, j = i[aligned], j[aligned]
-                    if all_pairs:
-                        # Legality folds into the featurization pass;
-                        # masks commute, so (i, j, X) match the legacy
-                        # legality-first order exactly.
-                        i, j, X = featurizer.legal_rows_into(i, j, buffer)
-                    else:
-                        X = featurizer.rows_into(i, j, buffer)
-                    if len(i) == 0:
-                        continue
-                    p = trained.model.predict_proba(X)
-                    n_evaluated += len(i)
+            caching = key is not None
+            stored_bytes = 0
+            with span("score", candidates="featurized"):
+                for i, j, X, p in score_candidates(trained, view, chunk_size):
                     out_i.append(i)
                     out_j.append(j)
                     out_p.append(p)
                     if caching:
-                        chunk_bytes = i.nbytes + j.nbytes + X.nbytes
-                        if stored_bytes + chunk_bytes > MAX_CHUNKED_BYTES:
-                            caching = False  # no index: family discarded
-                        else:
-                            caching = cache.put_chunk(
-                                key, n_chunks, {"i": i, "j": j, "X": X}
+                        # Over the budget nothing more is stored, and
+                        # without the index the family is discarded.
+                        stored_bytes += i.nbytes + j.nbytes + X.nbytes
+                        caching = stored_bytes <= MAX_CHUNKED_BYTES and (
+                            cache.put_chunk(
+                                key, len(out_i) - 1, {"i": i, "j": j, "X": X}
                             )
-                            if caching:
-                                stored_bytes += chunk_bytes
-                                n_chunks += 1
-            counter("pairs_featurized").inc(n_evaluated)
-            if out_i:
-                pair_i = np.concatenate(out_i)
-                pair_j = np.concatenate(out_j)
-                prob = np.concatenate(out_p)
-            else:
-                pair_i = np.zeros(0, dtype=int)
-                pair_j = np.zeros(0, dtype=int)
-                prob = np.zeros(0)
+                        )
+            counter("pairs_featurized").inc(sum(len(i) for i in out_i))
             if caching:
-                cache.put(key, {"n_chunks": np.array(n_chunks)})
+                cache.put(key, {"n_chunks": np.array(len(out_i))})
+            parts = out_i, out_j, out_p
+        out_i, out_j, out_p = parts
+        n_evaluated = sum(len(i) for i in out_i)
+        if out_i:
+            pair_i = np.concatenate(out_i)
+            pair_j = np.concatenate(out_j)
+            prob = np.concatenate(out_p)
+        else:
+            pair_i = np.zeros(0, dtype=int)
+            pair_j = np.zeros(0, dtype=int)
+            prob = np.zeros(0)
         counter("candidates_scored").inc(n_evaluated)
         outer.set(n_pairs=n_evaluated)
         logger.debug(

@@ -99,6 +99,8 @@ class ValidatedPA:
     success_rate: float
     validation_time: float
     attack_time: float
+    #: The test-fold evaluation the success rate was measured on.
+    result: AttackResult
 
 
 def validate_pa_fraction(
@@ -165,4 +167,5 @@ def run_validated_pa(
         success_rate=success,
         validation_time=validation_time,
         attack_time=time.perf_counter() - start,
+        result=result,
     )

@@ -29,10 +29,8 @@ import numpy as np
 from ..obs.metrics import counter
 from ..obs.trace import span
 from ..runtime import parallel_map, release_arrays, share_arrays
-from ..splitmfg.featurize_engine import PairFeaturizer
-from ..splitmfg.sampling import iter_all_pairs, max_chunk_rows
 from ..splitmfg.split import SplitView
-from .framework import TrainedAttack
+from .framework import TrainedAttack, score_candidates
 from .result import AttackResult
 from .topk import TopKTracker
 
@@ -64,17 +62,13 @@ def shard_rows(n: int, n_shards: int) -> list[tuple[int, int]]:
 
 def _score_shard(payload: tuple) -> tuple[np.ndarray, np.ndarray, int]:
     """Worker: stream one row shard, return top-K state + pair count."""
-    cols, model, features, n, row_lo, row_hi, chunk_size, k, engine = payload
+    cols, trained, n, row_lo, row_hi, chunk_size, k = payload
     arrays = {name: sa.array for name, sa in cols.items()}
-    featurizer = PairFeaturizer(arrays, features, engine=engine)
-    buffer = featurizer.out_buffer(max_chunk_rows(n, chunk_size))
     tracker = TopKTracker(n, k)
     n_evaluated = 0
-    for i, j in iter_all_pairs(n, chunk_size, row_start=row_lo, row_stop=row_hi):
-        i, j, X = featurizer.legal_rows_into(i, j, buffer)
-        if len(i) == 0:
-            continue
-        p = model.predict_proba(X)
+    for i, j, _X, p in score_candidates(
+        trained, arrays, chunk_size, rows=(row_lo, row_hi)
+    ):
         tracker.update(i, j, p)
         n_evaluated += len(i)
     partner, prob = tracker.state()
@@ -88,7 +82,6 @@ def evaluate_attack_scaled(
     chunk_size: int = 400_000,
     jobs: int = 1,
     n_shards: int | None = None,
-    engine: str | None = None,
 ) -> AttackResult:
     """Sharded top-K scoring of every legal pair of ``view``.
 
@@ -118,18 +111,7 @@ def evaluate_attack_scaled(
             shards=n_shards,
         ):
             payloads = [
-                (
-                    cols,
-                    trained.model,
-                    trained.config.features,
-                    n,
-                    lo,
-                    hi,
-                    chunk_size,
-                    k,
-                    engine,
-                )
-                for lo, hi in shards
+                (cols, trained, n, lo, hi, chunk_size, k) for lo, hi in shards
             ]
             states = parallel_map(_score_shard, payloads, jobs=jobs)
     finally:

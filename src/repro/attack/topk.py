@@ -22,10 +22,8 @@ import time
 import numpy as np
 
 from ..obs.metrics import counter
-from ..splitmfg.featurize_engine import PairFeaturizer
-from ..splitmfg.sampling import COORD_TOL, max_chunk_rows
 from ..splitmfg.split import SplitView
-from .framework import TrainedAttack, _candidate_chunks
+from .framework import TrainedAttack, score_candidates
 from .result import AttackResult
 
 
@@ -198,28 +196,9 @@ def evaluate_attack_topk(
     v-pin match the exact evaluation.
     """
     start = time.perf_counter()
-    arr = view.arrays()
     tracker = TopKTracker(len(view), k)
-    featurizer = PairFeaturizer(view, trained.config.features)
-    buffer = featurizer.out_buffer(max_chunk_rows(len(view), chunk_size))
-    all_pairs = trained.neighborhood is None
     n_evaluated = 0
-    for i, j in _candidate_chunks(
-        trained, view, chunk_size, filter_legal=not all_pairs
-    ):
-        if trained.limit_axis == "y":
-            aligned = np.abs(arr["vy"][i] - arr["vy"][j]) <= COORD_TOL
-            i, j = i[aligned], j[aligned]
-        elif trained.limit_axis == "x":
-            aligned = np.abs(arr["vx"][i] - arr["vx"][j]) <= COORD_TOL
-            i, j = i[aligned], j[aligned]
-        if all_pairs:
-            i, j, X = featurizer.legal_rows_into(i, j, buffer)
-        else:
-            X = featurizer.rows_into(i, j, buffer)
-        if len(i) == 0:
-            continue
-        p = trained.model.predict_proba(X)
+    for i, j, _X, p in score_candidates(trained, view, chunk_size):
         tracker.update(i, j, p)
         n_evaluated += len(i)
     counter("pairs_featurized").inc(n_evaluated)

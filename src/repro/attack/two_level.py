@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..splitmfg.pair_features import compute_pair_features
-from ..splitmfg.sampling import positive_pairs
+from ..splitmfg.featurize_engine import PairFeaturizer
+from ..splitmfg.sampling import axis_aligned, positive_pairs
 from ..splitmfg.split import SplitView
 from .config import AttackConfig
 from .framework import TrainedAttack, evaluate_attack, make_classifier, train_attack
@@ -76,9 +76,7 @@ def train_two_level(
         neg_i, neg_j = _hard_negatives(result, rng, level1_threshold)
         pos_i, pos_j = positive_pairs(view)
         if config.limit_top_axis and len(pos_i):
-            arr = view.arrays()
-            key = "vy" if level1.limit_axis == "y" else "vx"
-            keep = np.abs(arr[key][pos_i] - arr[key][pos_j]) <= 1e-6
+            keep = axis_aligned(view.arrays(), pos_i, pos_j, level1.limit_axis)
             pos_i, pos_j = pos_i[keep], pos_j[keep]
         # Keep the Level-2 set balanced (the paper's [4] principle): one
         # hard negative per v-pin can exceed the positive count, since
@@ -86,11 +84,12 @@ def train_two_level(
         if len(neg_i) > len(pos_i) > 0:
             pick = rng.choice(len(neg_i), size=len(pos_i), replace=False)
             neg_i, neg_j = neg_i[pick], neg_j[pick]
+        featurizer = PairFeaturizer(view, config.features)
         if len(pos_i):
-            blocks_X.append(compute_pair_features(view, pos_i, pos_j, config.features))
+            blocks_X.append(featurizer.rows(pos_i, pos_j))
             blocks_y.append(np.ones(len(pos_i)))
         if len(neg_i):
-            blocks_X.append(compute_pair_features(view, neg_i, neg_j, config.features))
+            blocks_X.append(featurizer.rows(neg_i, neg_j))
             blocks_y.append(np.zeros(len(neg_i)))
     if not blocks_X:
         raise ValueError("no Level-2 training samples")
@@ -125,7 +124,7 @@ def apply_two_level(
     pair_i = level1_result.pair_i[keep]
     pair_j = level1_result.pair_j[keep]
     if len(pair_i):
-        X = compute_pair_features(view, pair_i, pair_j, level2.config.features)
+        X = PairFeaturizer(view, level2.config.features).rows(pair_i, pair_j)
         prob = level2.model.predict_proba(X)
     else:
         prob = np.zeros(0)

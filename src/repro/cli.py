@@ -573,7 +573,6 @@ def _cmd_paper_scale(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         jobs=args.jobs,
         n_shards=args.shards,
-        engine=args.engine,
     )
     wall = time.perf_counter() - t0
     resources = resources_snapshot()
@@ -591,7 +590,6 @@ def _cmd_paper_scale(args: argparse.Namespace) -> int:
                 "chunk_size": args.chunk_size,
                 "jobs": args.jobs,
                 "shards": args.shards,
-                "engine": args.engine,
                 "budget_mb": args.budget_mb,
             },
             seeds={"root": args.seed},
@@ -851,10 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
     paper_scale.add_argument(
         "--shards", type=int, default=None,
         help="row shards (default: jobs); fixes the result regardless of --jobs",
-    )
-    paper_scale.add_argument(
-        "--engine", default=None, choices=("c", "numpy", "reference"),
-        help="featurization engine (default: $REPRO_FEATURIZE_ENGINE or auto)",
     )
     paper_scale.add_argument(
         "--budget-mb", type=float, default=None,

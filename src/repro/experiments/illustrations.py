@@ -20,7 +20,8 @@ import numpy as np
 from ..attack.config import IMP_11
 from ..attack.framework import evaluate_attack, train_attack
 from ..reporting import ascii_table
-from ..splitmfg.pair_features import FEATURES_11, compute_pair_features
+from ..splitmfg.featurize_engine import PairFeaturizer
+from ..splitmfg.pair_features import FEATURES_11
 from .common import DEFAULT_SCALE, ExperimentOutput, get_suite, get_views, standard_cli
 
 
@@ -53,8 +54,8 @@ def _figure2_3(views, designs, layer: int) -> str:
             f"W={v.fragment_wirelength:.1f} InArea={v.in_area:.0f} "
             f"OutArea={v.out_area:.0f} PC={v.pc:.4f} RC={v.rc:.4f}"
         )
-    X = compute_pair_features(
-        view, np.array([vpin.id]), np.array([partner.id]), FEATURES_11
+    X = PairFeaturizer(view, FEATURES_11).rows(
+        np.array([vpin.id]), np.array([partner.id])
     )[0]
     rows = [[name, f"{value:.2f}"] for name, value in zip(FEATURES_11, X)]
     lines.append(ascii_table(("pair feature", "value"), rows))

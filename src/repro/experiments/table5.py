@@ -27,7 +27,7 @@ from ..attack.config import (
     ML_9Y,
     AttackConfig,
 )
-from ..attack.framework import evaluate_attack, loo_folds, train_attack
+from ..attack.framework import loo_folds
 from ..attack.proximity import pa_success_rate, run_validated_pa
 from ..reporting import ascii_table, format_percent
 from .common import (
@@ -75,14 +75,14 @@ def run(
         # Fixed-threshold [18] and validated PA per configuration.
         seeds = fold_seeds(seed, len(views))
         for config in layer_configs:
-            for fold, (test_view, training_views) in enumerate(loo_folds(views)):
-                trained = train_attack(config, training_views, seed=seeds[fold])
-                result = evaluate_attack(trained, test_view)
-                per_design[test_view.design_name][f"{config.name} t=0.5"] = (
-                    pa_success_rate(result, threshold=0.5)
-                )
+            for fold, test_view in enumerate(views):
+                # The validated PA trains and scores this fold's model on
+                # the test view; the fixed-threshold column reuses it.
                 validated = run_validated_pa(
-                    config, views, views.index(test_view), seed=seeds[fold]
+                    config, views, fold, seed=seeds[fold]
+                )
+                per_design[test_view.design_name][f"{config.name} t=0.5"] = (
+                    pa_success_rate(validated.result, threshold=0.5)
                 )
                 per_design[test_view.design_name][f"{config.name} valid."] = (
                     validated.success_rate

@@ -17,7 +17,6 @@ from .feature_metrics import (
     information_gain,
     rank_features,
 )
-from .fit_engine import active_engine, has_ckernel, resolve_engine
 from .forest import RandomForest
 from .knn import KNNClassifier
 from .linear import LinearRegression
@@ -39,18 +38,15 @@ __all__ = [
     "RandomTree",
     "ReliabilityCurve",
     "abs_correlation",
-    "active_engine",
     "brier_score",
     "calibration_report",
     "create_backend",
     "equal_frequency_bins",
     "fisher_ratio",
     "get_backend",
-    "has_ckernel",
     "information_gain",
     "list_backends",
     "rank_features",
     "register_backend",
     "reliability_curve",
-    "resolve_engine",
 ]

@@ -211,7 +211,6 @@ class BaggingBackend(_TreeEnsembleBackend):
         n_estimators: int = 10,
         voting: str = "soft",
         base: str = "reptree",
-        engine: str | None = None,
     ) -> None:
         super().__init__()
         if base not in ("reptree", "randomtree"):
@@ -219,14 +218,11 @@ class BaggingBackend(_TreeEnsembleBackend):
         self.n_estimators = n_estimators
         self.voting = voting
         self.base = base
-        self.engine = engine
 
     def build(self, seed: int | np.random.Generator = 0) -> Bagging:
         if self.base == "randomtree":
             return Bagging(
-                base_factory=RandomTreeFactory(
-                    min_samples_leaf=1, engine=self.engine
-                ),
+                base_factory=RandomTreeFactory(min_samples_leaf=1),
                 n_estimators=self.n_estimators,
                 seed=seed,
                 voting=self.voting,
@@ -235,7 +231,6 @@ class BaggingBackend(_TreeEnsembleBackend):
             n_estimators=self.n_estimators,
             seed=seed,
             voting=self.voting,
-            engine=self.engine,
         )
 
     def get_params(self) -> dict[str, Any]:
@@ -257,13 +252,11 @@ class RandomForestBackend(_TreeEnsembleBackend):
         n_estimators: int = 100,
         max_depth: int | None = DEFAULT_MAX_DEPTH,
         min_samples_leaf: int = 1,
-        engine: str | None = None,
     ) -> None:
         super().__init__()
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.engine = engine
 
     def build(self, seed: int | np.random.Generator = 0) -> RandomForest:
         return RandomForest(
@@ -271,7 +264,6 @@ class RandomForestBackend(_TreeEnsembleBackend):
             seed=seed,
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
-            engine=self.engine,
         )
 
     def get_params(self) -> dict[str, Any]:

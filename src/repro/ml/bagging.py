@@ -6,8 +6,9 @@ generalized to an arbitrary ``t`` to control LoC sizes, Section III-F).
 
 Inference is delegated to the stacked-tree engine
 (:mod:`repro.serve.engine`), which walks all estimators in one pass and
-is bit-identical to the per-estimator reference loop kept as
-:meth:`Bagging.predict_proba_looped`.
+is bit-identical to averaging the estimators' own ``predict_proba``
+(the per-estimator loop kept as the test oracle,
+``tests/serve/predict_oracle.py``).
 """
 
 from __future__ import annotations
@@ -27,11 +28,8 @@ class REPTreeFactory:
     sharded evaluator does exactly that).
     """
 
-    def __init__(self, engine: str | None = None) -> None:
-        self.engine = engine
-
     def __call__(self, rng: np.random.Generator) -> "REPTree":
-        return REPTree(seed=rng, engine=self.engine)
+        return REPTree(seed=rng)
 
 
 class RandomTreeFactory:
@@ -41,18 +39,15 @@ class RandomTreeFactory:
         self,
         max_depth: int | None = DEFAULT_MAX_DEPTH,
         min_samples_leaf: int = 1,
-        engine: str | None = None,
     ) -> None:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.engine = engine
 
     def __call__(self, rng: np.random.Generator) -> "RandomTree":
         return RandomTree(
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
             seed=rng,
-            engine=self.engine,
         )
 
 
@@ -70,18 +65,13 @@ class Bagging:
         n_estimators: int = 10,
         seed: int | np.random.Generator = 0,
         voting: str = "soft",
-        engine: str | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if voting not in ("soft", "hard"):
             raise ValueError(f"unknown voting scheme {voting!r}")
-        # ``engine`` selects the fit engine (see repro.ml.fit_engine) for
-        # the default REPTree factory; a caller-supplied base_factory is
-        # responsible for threading it through itself.
-        self.base_factory = base_factory or REPTreeFactory(engine)
+        self.base_factory = base_factory or REPTreeFactory()
         self.n_estimators = n_estimators
-        self.fit_engine = engine
         self.rng = np.random.default_rng(seed)
         self.voting = voting
         self.estimators_: list[DecisionTreeBase] = []
@@ -108,8 +98,8 @@ class Bagging:
         """Ensemble probability per sample (paper Eq. 3).
 
         Scored through the stacked-tree engine (built lazily, cached
-        until the next ``fit``); bit-identical to
-        :meth:`predict_proba_looped`.
+        until the next ``fit``); bit-identical to the per-estimator
+        average.
         """
         if not self.estimators_:
             raise RuntimeError("fit() first")
@@ -120,25 +110,6 @@ class Bagging:
                 self.estimators_, voting=self.voting
             )
         return self._engine.predict_proba(X)
-
-    def predict_proba_looped(self, X: np.ndarray) -> np.ndarray:
-        """Reference implementation: one ``predict_proba`` per estimator.
-
-        Kept for equivalence tests and the looped-vs-batched benchmark
-        (``benchmarks/test_serve.py``); prefer :meth:`predict_proba`.
-        """
-        if not self.estimators_:
-            raise RuntimeError("fit() first")
-        X = np.asarray(X, dtype=float)
-        if self.voting == "soft":
-            total = np.zeros(len(X))
-            for estimator in self.estimators_:
-                total += estimator.predict_proba(X)
-            return total / self.n_estimators
-        votes = np.zeros(len(X))
-        for estimator in self.estimators_:
-            votes += (estimator.predict_proba(X) >= 0.5).astype(float)
-        return votes / self.n_estimators
 
     def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Binary prediction at threshold ``t`` (paper Eq. 2)."""

@@ -1,7 +1,7 @@
 """Presorted tree-training engine: the fitting hot path.
 
-The seed implementation of :meth:`repro.ml.tree.DecisionTreeBase._grow`
-re-sorts every candidate feature column at every node -- an
+The straightforward tree grower (kept as the test oracle) re-sorts
+every candidate feature column at every node -- an
 ``O(nodes x F x n log n)`` Python-level loop that dominates the runtime
 of every Bagging fit (and therefore every experiment: each LOO fold fits
 10 REPTrees).  This module replaces the per-node argsorts with a
@@ -15,24 +15,22 @@ of every Bagging fit (and therefore every experiment: each LOO fold fits
 
 Two split-search kernels run on top of the presorted orders:
 
-* a small C kernel, compiled on first use with the system C compiler and
-  loaded through :mod:`ctypes` (same pattern and graceful fallback as
-  :mod:`repro.serve.engine`), which fuses the cumulative class counts,
+* a small C kernel, compiled on first use through
+  :func:`repro._ckernel.load`, which fuses the cumulative class counts,
   candidate enumeration and split scoring into one pass per node;
-* a pure-NumPy scan (:func:`_scan_sorted`) -- the always-available
-  fallback, and the *shared* implementation behind the reference
-  :func:`repro.ml.tree._best_split` oracle, so its floats are identical
-  to the reference by construction.
+* a pure-NumPy scan (:func:`_search_numpy`) -- used when the kernel did
+  not load, and by the C path for nodes it declares uncertain.
 
 Bit-identity contract
 ---------------------
 
 Trees grown through this engine are **node-for-node identical** to the
-reference grower -- same feature, threshold and class counts at every
-node, ties and duplicated feature values included -- so every report
-byte and run-manifest ``report_sha256`` is unchanged.  The NumPy path
-achieves this by performing the exact same float64 operations on the
-exact same values in the same order.  The C kernel cannot call NumPy's
+per-node-argsort reference grower kept as the test oracle
+(``tests/ml/tree_oracle.py``) -- same feature, threshold and class
+counts at every node, ties and duplicated feature values included -- so
+which kernel ran never moves a report byte.  The NumPy path achieves
+this by performing the exact same float64 operations on the exact same
+values in the same order.  The C kernel cannot call NumPy's
 ``log`` (libm's ``log`` differs from it in the last ulp), so it scores
 candidates on an order-equivalent integer-count statistic
 ``S = -(sum of k*ln(k) terms)`` built from a NumPy-precomputed
@@ -45,31 +43,27 @@ declared uncertain and re-searched with the NumPy scan.  Exact ties
 are recognised structurally and resolved first-wins, exactly like the
 reference's ``argmax``/strict-``>`` scan.
 
-Engine selection: ``REPRO_FIT_ENGINE`` (``auto`` | ``c`` | ``numpy`` |
-``reference``) or the ``engine`` argument of the tree constructors;
-``REPRO_FIT_NO_CKERNEL=1`` disables compilation entirely.
+Every fit counts ``tree_fits{engine=c|numpy}``, labelled with the kernel
+that actually ran.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .. import _ckernel
+from ..obs.metrics import counter
 
 _EPS = 1e-12
 
 #: Guard band (in nats of information gain) around split-selection
 #: decisions made by the C kernel.  Both kernels' rounding errors are
 #: below ~1e-12 nats, so a margin above the band is decided identically
-#: by both; anything inside it falls back to the NumPy reference scan.
+#: by both; anything inside it falls back to the NumPy scan.
 UNCERTAIN_GAIN_MARGIN = 1e-6
 
 
@@ -127,51 +121,6 @@ class _Node:
         self.feature = -1
         self.left = None
         self.right = None
-
-
-def _scan_sorted(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    total_pos: float,
-    min_samples_leaf: int,
-    min_gain: float,
-    parent_entropy: float,
-) -> tuple[float, float] | None:
-    """Best (threshold, gain) of one feature already in sorted order.
-
-    This is the reference split scan: :func:`repro.ml.tree._best_split`
-    calls it after argsorting each column, and the presorted NumPy
-    engine calls it on its maintained orders -- one implementation, so
-    the two are bit-identical by construction.  Candidates are midpoints
-    between consecutive distinct sorted values; gain is the information
-    gain of the induced binary partition.
-    """
-    n = len(ys)
-    if xs[0] == xs[-1]:
-        return None
-    cum_pos = np.cumsum(ys)
-    left_n = np.arange(1, n)
-    left_pos = cum_pos[:-1]
-    left_neg = left_n - left_pos
-    right_n = n - left_n
-    right_pos = total_pos - left_pos
-    right_neg = right_n - right_pos
-    valid = (xs[:-1] < xs[1:]) & (left_n >= min_samples_leaf) & (
-        right_n >= min_samples_leaf
-    )
-    if not valid.any():
-        return None
-    child_entropy = (
-        left_n * _entropy_terms(left_pos, left_neg)
-        + right_n * _entropy_terms(right_pos, right_neg)
-    ) / n
-    gain = parent_entropy - child_entropy
-    gain[~valid] = -np.inf
-    k = int(np.argmax(gain))
-    g = float(gain[k])
-    if g <= min_gain:
-        return None
-    return float((xs[k] + xs[k + 1]) / 2.0), g
 
 
 # -- compiled split-search kernel ---------------------------------------
@@ -287,89 +236,25 @@ void repro_fit_partition(
 }
 """.replace("UNCERTAIN_GAIN_MARGIN", repr(UNCERTAIN_GAIN_MARGIN))
 
-_kernel_lock = threading.Lock()
-_kernel: "ctypes.CDLL | None" = None
-_kernel_tried = False
+_I64 = ctypes.c_int64
+_I32 = ctypes.c_int32
+_PTR = ctypes.c_void_p
+_SIGNATURES = {
+    "repro_fit_best_split": (
+        [_PTR, _PTR, _I64, _PTR, _I64, _PTR, _I32, _I64, _I64,
+         ctypes.c_double, ctypes.c_double, _PTR, _PTR, _PTR],
+        ctypes.c_int,
+    ),
+    "repro_fit_partition": (
+        [_PTR, ctypes.c_double, _PTR, _I64, _I32, _I64, _PTR, _PTR],
+        None,
+    ),
+}
 
 
-def _compile_kernel() -> "ctypes.CDLL | None":
-    """Compile and load the C kernel; ``None`` when unavailable."""
-    if os.environ.get("REPRO_FIT_NO_CKERNEL"):
-        return None
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None
-    build_dir = tempfile.mkdtemp(prefix="repro-fit-kernel-")
-    atexit.register(shutil.rmtree, build_dir, ignore_errors=True)
-    src = os.path.join(build_dir, "kernel.c")
-    lib_path = os.path.join(build_dir, "kernel.so")
-    try:
-        with open(src, "w") as handle:
-            handle.write(_KERNEL_SOURCE)
-        subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", lib_path, src],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        lib = ctypes.CDLL(lib_path)
-        ptr = ctypes.c_void_p
-        i64 = ctypes.c_int64
-        i32 = ctypes.c_int32
-        lib.repro_fit_best_split.argtypes = [
-            ptr, ptr, i64, ptr, i64, ptr, i32, i64, i64,
-            ctypes.c_double, ctypes.c_double, ptr, ptr, ptr,
-        ]
-        lib.repro_fit_best_split.restype = ctypes.c_int
-        lib.repro_fit_partition.argtypes = [
-            ptr, ctypes.c_double, ptr, i64, i32, i64, ptr, ptr,
-        ]
-        lib.repro_fit_partition.restype = None
-        return lib
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def _get_kernel() -> "ctypes.CDLL | None":
-    """The process-wide compiled kernel (compiled once, lazily)."""
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    with _kernel_lock:
-        if not _kernel_tried:
-            _kernel = _compile_kernel()
-            _kernel_tried = True
-    return _kernel
-
-
-def has_ckernel() -> bool:
-    """Whether the compiled C split-search kernel is available."""
-    return _get_kernel() is not None
-
-
-def resolve_engine(requested: str | None = None) -> str:
-    """Resolve an engine request to ``c``, ``numpy`` or ``reference``.
-
-    ``None`` defers to ``$REPRO_FIT_ENGINE`` (default ``auto``); ``auto``
-    prefers the compiled kernel and falls back to the presorted NumPy
-    scan.  Requesting ``c`` without a compiler raises.
-    """
-    name = requested or os.environ.get("REPRO_FIT_ENGINE") or "auto"
-    if name not in ("auto", "c", "numpy", "reference"):
-        raise ValueError(f"unknown fit engine {name!r}")
-    if name == "auto":
-        return "c" if has_ckernel() else "numpy"
-    if name == "c" and not has_ckernel():
-        raise RuntimeError("compiled fit kernel unavailable")
-    return name
-
-
-def active_engine() -> str:
-    """Resolved default engine name for observability (never raises)."""
-    try:
-        return resolve_engine(None)
-    except (RuntimeError, ValueError):
-        return "numpy"
+def _kernel() -> "ctypes.CDLL | None":
+    """The compiled split-search kernel, or ``None`` (NumPy scan)."""
+    return _ckernel.load("fit", _KERNEL_SOURCE, _SIGNATURES)
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
@@ -394,9 +279,9 @@ def _search_numpy(
     order, so a flat ``argmax`` over their gains reproduces the
     reference selection exactly -- per-feature first maximum, strict
     ``>`` across features.  Per-candidate gains are the same elementwise
-    float64 operations on the same values as :func:`_scan_sorted`, hence
-    bit-identical; on quantized features (grid coordinates, pin counts)
-    the candidate set shrinks by orders of magnitude.
+    float64 operations on the same values as the reference per-feature
+    scan, hence bit-identical; on quantized features (grid coordinates,
+    pin counts) the candidate set shrinks by orders of magnitude.
     """
     m = orders.shape[1]
     if m < 2 * min_samples_leaf:
@@ -444,16 +329,16 @@ def grow_tree(
     min_samples_leaf: int,
     min_gain: float,
     depth: int = 0,
-    use_c: bool = False,
 ) -> tuple[_Node, dict[str, int]]:
     """Grow a (sub)tree from presorted feature orders.
 
     Node processing order, pre-split checks, candidate-feature sampling
     (``candidate_features`` is consulted once per expandable node, in the
     same order as the reference grower -- which keeps RandomTree's RNG
-    stream identical) and split selection all mirror
-    :meth:`DecisionTreeBase._grow` exactly.  Returns the root node plus
-    ``{"nodes", "splits", "fallbacks"}`` counters.
+    stream identical) and split selection all mirror the reference
+    grower exactly.  Uses the C kernel when it loaded.  Returns the root
+    node plus ``{"nodes", "splits", "fallbacks"}`` counters, which are
+    also added to the process metrics.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
@@ -463,9 +348,7 @@ def grow_tree(
     for f in range(n_features):
         orders[f] = np.argsort(Xcols[f], kind="stable")
 
-    lib = _get_kernel() if use_c else None
-    if use_c and lib is None:
-        raise RuntimeError("compiled fit kernel unavailable")
+    lib = _kernel()
     if lib is not None:
         k = np.arange(n + 1, dtype=np.float64)
         xlogx = k * np.log(np.maximum(k, 1.0))
@@ -550,4 +433,8 @@ def grow_tree(
         )
         stack.append((node.left, left_orders, d + 1))
         stack.append((node.right, right_orders, d + 1))
+    counter("tree_fits", engine="numpy" if lib is None else "c").inc()
+    counter("fit_split_nodes").inc(stats["splits"])
+    if stats["fallbacks"]:
+        counter("fit_kernel_fallbacks").inc(stats["fallbacks"])
     return root, stats

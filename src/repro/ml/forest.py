@@ -22,16 +22,12 @@ class RandomForest(Bagging):
         seed: int | np.random.Generator = 0,
         max_depth: int | None = DEFAULT_MAX_DEPTH,
         min_samples_leaf: int = 1,
-        engine: str | None = None,
     ) -> None:
         super().__init__(
             base_factory=RandomTreeFactory(
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                engine=engine,
+                max_depth=max_depth, min_samples_leaf=min_samples_leaf
             ),
             n_estimators=n_estimators,
             seed=seed,
             voting="soft",
         )
-        self.fit_engine = engine

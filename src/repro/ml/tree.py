@@ -20,48 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit_engine import (  # noqa: F401  (re-exported for compatibility)
-    _EPS,
-    _Node,
-    _entropy_scalar,
-    _entropy_terms,
-    _scan_sorted,
-    grow_tree,
-    resolve_engine,
-)
-
-
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_indices: np.ndarray,
-    min_samples_leaf: int,
-    min_gain: float,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, gain) over the candidate features.
-
-    This is the reference split search the presorted engines are held
-    bit-identical to: it argsorts each candidate column and hands the
-    sorted view to the shared :func:`repro.ml.fit_engine._scan_sorted`.
-    """
-    n = len(y)
-    total_pos = float(y.sum())
-    total_neg = n - total_pos
-    parent_entropy = _entropy_scalar(total_pos, total_neg)
-    best: tuple[int, float, float] | None = None
-    for f in feature_indices:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        found = _scan_sorted(
-            x[order], y[order], total_pos, min_samples_leaf, min_gain,
-            parent_entropy,
-        )
-        if found is None:
-            continue
-        threshold, g = found
-        if best is None or g > best[2]:
-            best = (int(f), threshold, g)
-    return best
+from .fit_engine import _Node, grow_tree
 
 
 @dataclass
@@ -109,12 +68,10 @@ class DecisionTreeBase:
         min_samples_leaf: int = 2,
         min_gain: float = 1e-7,
         seed: int | np.random.Generator = 0,
-        engine: str | None = None,
     ) -> None:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_gain = min_gain
-        self.engine = engine
         self.rng = np.random.default_rng(seed)
         self._tree: _FrozenTree | None = None
         self._prior = 0.5
@@ -129,17 +86,8 @@ class DecisionTreeBase:
     # -- fitting --------------------------------------------------------
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        """Grow a (sub)tree through the selected fit engine.
-
-        All engines produce node-for-node identical trees; see
-        :mod:`repro.ml.fit_engine` for the bit-identity contract.
-        """
-        engine = resolve_engine(self.engine)
-        if engine != "reference" and not self._presortable(y):
-            engine = "reference"
-        if engine == "reference":
-            return self._grow_reference(X, y, depth)
-        root, stats = grow_tree(
+        """Grow a (sub)tree through :func:`repro.ml.fit_engine.grow_tree`."""
+        root, _stats = grow_tree(
             X,
             y,
             candidate_features=self._candidate_features,
@@ -147,65 +95,7 @@ class DecisionTreeBase:
             min_samples_leaf=self.min_samples_leaf,
             min_gain=self.min_gain,
             depth=depth,
-            use_c=(engine == "c"),
         )
-        self._record_grow_stats(engine, stats)
-        return root
-
-    @staticmethod
-    def _presortable(y: np.ndarray) -> bool:
-        """Presorted engines assume 0/1 labels (exact integer counts)."""
-        return bool(np.isin(y, (0.0, 1.0)).all())
-
-    @staticmethod
-    def _record_grow_stats(engine: str, stats: dict[str, int]) -> None:
-        try:
-            from ..obs.metrics import counter
-        except ImportError:  # pragma: no cover - obs is optional here
-            return
-        counter("tree_fits", engine=engine).inc()
-        counter("fit_split_nodes").inc(stats["splits"])
-        if stats["fallbacks"]:
-            counter("fit_kernel_fallbacks").inc(stats["fallbacks"])
-
-    def _grow_reference(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        """Reference grower: per-node argsorts (the bit-identity oracle)."""
-
-        def new_node(ys: np.ndarray) -> _Node:
-            pos = float(ys.sum())
-            return _Node(grow_pos=pos, grow_neg=float(len(ys) - pos))
-
-        root = new_node(y)
-        stack: list[tuple[_Node, np.ndarray, np.ndarray, int]] = [
-            (root, X, y, depth)
-        ]
-        while stack:
-            node, Xn, yn, d = stack.pop()
-            pos, neg = node.grow_pos, node.grow_neg
-            if (
-                len(yn) < 2 * self.min_samples_leaf
-                or pos == 0
-                or neg == 0
-                or (self.max_depth is not None and d >= self.max_depth)
-            ):
-                continue
-            split = _best_split(
-                Xn,
-                yn,
-                self._candidate_features(Xn.shape[1]),
-                self.min_samples_leaf,
-                self.min_gain,
-            )
-            if split is None:
-                continue
-            feature, threshold, _gain = split
-            mask = Xn[:, feature] <= threshold
-            node.feature = feature
-            node.threshold = threshold
-            node.left = new_node(yn[mask])
-            node.right = new_node(yn[~mask])
-            stack.append((node.left, Xn[mask], yn[mask], d + 1))
-            stack.append((node.right, Xn[~mask], yn[~mask], d + 1))
         return root
 
     def _route(self, root: _Node, X: np.ndarray, y: np.ndarray, field_prefix: str) -> None:
@@ -274,6 +164,8 @@ class DecisionTreeBase:
             raise ValueError("X and y disagree on sample count")
         if len(y) == 0:
             raise ValueError("cannot fit on an empty training set")
+        if not ((y == 0.0) | (y == 1.0)).all():
+            raise ValueError("tree labels must be 0 or 1")
         self.n_features_ = X.shape[1]
         self._prior = float(y.mean()) if len(y) else 0.5
         root = self._fit_root(X, y)
@@ -376,9 +268,8 @@ class REPTree(DecisionTreeBase):
         min_gain: float = 1e-7,
         num_folds: int = 3,
         seed: int | np.random.Generator = 0,
-        engine: str | None = None,
     ) -> None:
-        super().__init__(max_depth, min_samples_leaf, min_gain, seed, engine)
+        super().__init__(max_depth, min_samples_leaf, min_gain, seed)
         if num_folds < 2:
             raise ValueError("num_folds must be >= 2")
         self.num_folds = num_folds

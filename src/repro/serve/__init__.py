@@ -40,7 +40,7 @@ from .artifacts import (
     load_artifact,
 )
 from .batcher import BatcherClosedError, MicroBatcher
-from .engine import StackedEnsemble, has_ckernel
+from .engine import StackedEnsemble
 from .http import AttackHTTPServer, make_server
 from .registry import ModelNotFoundError, ModelRegistry, RegistryEntry
 from .service import AttackService, package_trained_attack, train_model
@@ -62,7 +62,6 @@ __all__ = [
     "SUPPORTED_SCHEMA_VERSIONS",
     "StackedEnsemble",
     "artifact_from_model",
-    "has_ckernel",
     "load_artifact",
     "make_server",
     "package_trained_attack",

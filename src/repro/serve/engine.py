@@ -12,12 +12,12 @@ Two kernels execute the traversal:
   loaded through :mod:`ctypes` -- the sample-outer loop walks all trees
   for one sample while its feature row sits in cache (an order of
   magnitude faster than the per-estimator loop);
-* a pure-NumPy depth-first partition kernel, used when no compiler is
-  available (or ``REPRO_SERVE_NO_CKERNEL=1``).
+* a pure-NumPy depth-first partition kernel, used when the C kernel
+  cannot be compiled (see :mod:`repro._ckernel`).
 
 Both kernels accumulate per-sample leaf values in estimator order, so the
-ensemble probability is **bit-identical** to the per-estimator reference
-loop (:meth:`repro.ml.bagging.Bagging.predict_proba_looped`) -- the same
+ensemble probability is **bit-identical** to the per-estimator loop kept
+as the test oracle (``tests/serve/predict_oracle.py``) -- the same
 float64 additions happen in the same order.  ``repro.attack.framework``
 and ``repro.attack.topk`` inherit the fast path automatically because
 ``Bagging.predict_proba`` now routes through this engine.
@@ -25,18 +25,13 @@ and ``repro.attack.topk`` inherit the fast path automatically because
 
 from __future__ import annotations
 
-import atexit
 import ctypes
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .. import _ckernel
 from ..ml.tree import DecisionTreeBase
 
 #: Samples scored per kernel invocation; bounds transient memory at
@@ -74,58 +69,19 @@ void repro_predict_stacked(
 }
 """
 
-_kernel_lock = threading.Lock()
-_kernel: "ctypes.CDLL | None" = None
-_kernel_tried = False
+_SIGNATURES = {
+    "repro_predict_stacked": (
+        [ctypes.c_void_p, ctypes.c_long, ctypes.c_int]
+        + [ctypes.c_void_p] * 6
+        + [ctypes.c_int, ctypes.c_void_p],
+        None,
+    ),
+}
 
 
-def _compile_kernel() -> "ctypes.CDLL | None":
-    """Compile and load the C kernel; ``None`` when unavailable."""
-    if os.environ.get("REPRO_SERVE_NO_CKERNEL"):
-        return None
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None
-    build_dir = tempfile.mkdtemp(prefix="repro-serve-kernel-")
-    atexit.register(shutil.rmtree, build_dir, ignore_errors=True)
-    src = os.path.join(build_dir, "kernel.c")
-    lib_path = os.path.join(build_dir, "kernel.so")
-    try:
-        with open(src, "w") as handle:
-            handle.write(_KERNEL_SOURCE)
-        subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", lib_path, src],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        lib = ctypes.CDLL(lib_path)
-        ptr = ctypes.c_void_p
-        lib.repro_predict_stacked.argtypes = [
-            ptr, ctypes.c_long, ctypes.c_int,
-            ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_int, ptr,
-        ]
-        lib.repro_predict_stacked.restype = None
-        return lib
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def _get_kernel() -> "ctypes.CDLL | None":
-    """The process-wide compiled kernel (compiled once, lazily)."""
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    with _kernel_lock:
-        if not _kernel_tried:
-            _kernel = _compile_kernel()
-            _kernel_tried = True
-    return _kernel
-
-
-def has_ckernel() -> bool:
-    """Whether the compiled C traversal kernel is available."""
-    return _get_kernel() is not None
+def _kernel() -> "ctypes.CDLL | None":
+    """The compiled traversal kernel, or ``None`` (NumPy fallback)."""
+    return _ckernel.load("serve", _KERNEL_SOURCE, _SIGNATURES)
 
 
 def _leaf_values(tree: DecisionTreeBase) -> np.ndarray:
@@ -229,10 +185,10 @@ class StackedEnsemble:
 
     # -- kernels --------------------------------------------------------
 
-    def _run_c(self, X: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    def _run_c(
+        self, lib: ctypes.CDLL, X: np.ndarray, values: np.ndarray, out: np.ndarray
+    ) -> None:
         """Score one contiguous chunk through the compiled kernel."""
-        lib = _get_kernel()
-        assert lib is not None
 
         def ptr(array: np.ndarray) -> ctypes.c_void_p:
             return ctypes.c_void_p(array.ctypes.data)
@@ -276,21 +232,15 @@ class StackedEnsemble:
     # -- inference ------------------------------------------------------
 
     def predict_proba(
-        self,
-        X: np.ndarray,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        kernel: str = "auto",
+        self, X: np.ndarray, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> np.ndarray:
         """Ensemble probability per sample (paper Eq. 3), chunked.
 
-        ``kernel`` selects the traversal implementation: ``"auto"``
-        prefers the compiled kernel, ``"c"`` requires it and ``"numpy"``
-        forces the fallback; all produce bit-identical output.
+        Runs the compiled kernel when it loaded and the NumPy traversal
+        otherwise; both produce bit-identical output.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if kernel not in ("auto", "c", "numpy"):
-            raise ValueError(f"unknown kernel {kernel!r}")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
@@ -298,17 +248,15 @@ class StackedEnsemble:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        if kernel == "c" and not has_ckernel():
-            raise RuntimeError("compiled kernel unavailable")
-        use_c = kernel != "numpy" and has_ckernel()
+        lib = _kernel()
         values = self.leaf_soft if self.voting == "soft" else self.leaf_hard
         n = len(X)
         out = np.empty(n)
         for start in range(0, n, chunk_size):
             stop = min(start + chunk_size, n)
             chunk = np.ascontiguousarray(X[start:stop])
-            if use_c:
-                self._run_c(chunk, values, out[start:stop])
+            if lib is not None:
+                self._run_c(lib, chunk, values, out[start:stop])
             else:
                 self._run_numpy(chunk, values, out[start:stop])
         return out / self.n_trees

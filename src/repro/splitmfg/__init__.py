@@ -7,12 +7,7 @@ from .challenge import (
     oracle_to_dict,
     save_challenge,
 )
-from .featurize_engine import (
-    PairFeaturizer,
-    active_engine as featurize_active_engine,
-    has_ckernel as featurize_has_ckernel,
-    resolve_engine as resolve_featurize_engine,
-)
+from .featurize_engine import PairFeaturizer
 from .pair_features import (
     FEATURE_SETS,
     FEATURES_7,
@@ -27,6 +22,7 @@ from .sampling import (
     DEFAULT_NEIGHBORHOOD_PERCENTILE,
     NeighborhoodIndex,
     TrainingSet,
+    axis_aligned,
     build_training_set,
     iter_all_pairs,
     max_chunk_rows,
@@ -59,14 +55,13 @@ __all__ = [
     "TrainingSet",
     "VPin",
     "attach_congestion",
+    "axis_aligned",
     "build_training_set",
     "challenge_from_dicts",
     "challenge_to_dict",
     "compute_pair_features",
     "compute_statistics",
     "describe",
-    "featurize_active_engine",
-    "featurize_has_ckernel",
     "iter_all_pairs",
     "legal_pair_mask",
     "load_challenge",
@@ -80,7 +75,6 @@ __all__ = [
     "placement_congestion",
     "positive_pairs",
     "random_negative_pairs",
-    "resolve_featurize_engine",
     "routing_congestion",
     "save_challenge",
     "split_design",

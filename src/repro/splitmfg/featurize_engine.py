@@ -7,29 +7,27 @@ everything again through ``np.column_stack`` -- at paper scale (up to
 both the dominant cost of a no-neighborhood scoring pass and an
 unbounded source of transient RSS.  This module featurizes ``(i, j)``
 chunks **into a caller-provided preallocated buffer** instead, through
-one of three engines:
+one of two engines:
 
-* ``c`` -- a small C kernel compiled on first use with the system C
-  compiler and loaded through :mod:`ctypes` (same pattern and graceful
-  fallback as :mod:`repro.ml.fit_engine` and the serve engine).  One
-  pass over the pairs: per pair it gathers the nine base columns once,
-  evaluates the requested features, and writes the row directly into
-  the output buffer -- no per-feature temporaries at all.  The paper's
-  legality rule (:func:`~repro.splitmfg.pair_features.legal_pair_mask`)
-  folds into the same pass: illegal pairs are skipped and surviving
-  rows compacted in place.
-* ``numpy`` -- the always-available fused fallback: every base column
-  is gathered at most once per chunk and each feature is computed with
+* ``c`` -- a small C kernel compiled on first use through
+  :func:`repro._ckernel.load`.  One pass over the pairs: per pair it
+  gathers the nine base columns once, evaluates the requested features,
+  and writes the row directly into the output buffer -- no per-feature
+  temporaries at all.  The paper's legality rule
+  (:func:`~repro.splitmfg.pair_features.legal_pair_mask`) folds into the
+  same pass: illegal pairs are skipped and surviving rows compacted in
+  place.
+* ``numpy`` -- used when the kernel did not load: every base column is
+  gathered at most once per chunk and each feature is computed with
   ``out=`` ufunc calls straight into the buffer's columns (the buffer
   is allocated feature-major for this engine, so those writes are
   contiguous and the ``column_stack`` copy disappears entirely).
-* ``reference`` -- ``compute_pair_features`` copied into the buffer;
-  the oracle for tests and the baseline for benchmarks.
 
 Bit-identity contract
 ---------------------
 
-All three engines produce **bit-identical** feature matrices.  Every
+Both engines produce feature matrices **bit-identical** to
+``compute_pair_features``, the oracle the tests hold them to.  Every
 feature is an absolute difference or a left-to-right float64 sum of
 gathered column values; C's ``fabs``/ordered ``+`` and NumPy's ufunc
 loops perform the same IEEE-754 double operations on the same values
@@ -37,32 +35,25 @@ in the same order (the kernel is compiled without ``-ffast-math``, and
 no expression here admits an FMA contraction), so the bytes match --
 asserted over a feature-set x chunk-size grid in
 ``tests/splitmfg/test_featurize_engine.py``, and the reason cached
-matrices and experiment report hashes are unchanged by engine choice.
+matrices and experiment report hashes do not depend on which engine
+ran.
 
-Engine selection: ``$REPRO_FEATURIZE_ENGINE`` (``auto`` | ``c`` |
-``numpy`` | ``reference``) or the ``engine=`` argument;
-``REPRO_FEATURIZE_NO_CKERNEL=1`` disables compilation entirely.
 Observability: every chunk increments ``featurize_chunks{engine=...}``
-and lands in the ``featurize_rows`` histogram; an ``auto`` resolution
-that wanted the kernel but could not get one increments
-``featurize_kernel_fallbacks`` (see OBSERVABILITY.md).
+and lands in the ``featurize_rows`` histogram; a featurizer built
+without the kernel increments ``featurize_kernel_fallbacks`` (see
+OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
 from typing import Any, Mapping
 
 import numpy as np
 
+from .. import _ckernel
 from ..obs.metrics import ROW_COUNT_BUCKETS, counter, histogram
-from .pair_features import FEATURES_11, compute_pair_features
+from .pair_features import FEATURES_11
 
 #: The nine v-pin attribute columns every feature is built from, in the
 #: order the packed ``(9, n)`` kernel matrix stores them.
@@ -145,88 +136,20 @@ int64_t repro_featurize(
 }
 """
 
-_kernel_lock = threading.Lock()
-_kernel: "ctypes.CDLL | None" = None
-_kernel_tried = False
+_I64 = ctypes.c_int64
+_I32 = ctypes.c_int32
+_PTR = ctypes.c_void_p
+_SIGNATURES = {
+    "repro_featurize": (
+        [_PTR, _I64, _PTR, _PTR, _I64, _PTR, _I32, _I32, _PTR, _PTR, _PTR],
+        _I64,
+    ),
+}
 
 
-def _compile_kernel() -> "ctypes.CDLL | None":
-    """Compile and load the C kernel; ``None`` when unavailable."""
-    if os.environ.get("REPRO_FEATURIZE_NO_CKERNEL"):
-        return None
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None
-    build_dir = tempfile.mkdtemp(prefix="repro-featurize-kernel-")
-    atexit.register(shutil.rmtree, build_dir, ignore_errors=True)
-    src = os.path.join(build_dir, "kernel.c")
-    lib_path = os.path.join(build_dir, "kernel.so")
-    try:
-        with open(src, "w") as handle:
-            handle.write(_KERNEL_SOURCE)
-        subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", lib_path, src],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        lib = ctypes.CDLL(lib_path)
-        ptr = ctypes.c_void_p
-        i64 = ctypes.c_int64
-        i32 = ctypes.c_int32
-        lib.repro_featurize.argtypes = [
-            ptr, i64, ptr, ptr, i64, ptr, i32, i32, ptr, ptr, ptr,
-        ]
-        lib.repro_featurize.restype = i64
-        return lib
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def _get_kernel() -> "ctypes.CDLL | None":
-    """The process-wide compiled kernel (compiled once, lazily)."""
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    with _kernel_lock:
-        if not _kernel_tried:
-            _kernel = _compile_kernel()
-            _kernel_tried = True
-    return _kernel
-
-
-def has_ckernel() -> bool:
-    """Whether the compiled C featurize kernel is available."""
-    return _get_kernel() is not None
-
-
-def resolve_engine(requested: str | None = None) -> str:
-    """Resolve an engine request to ``c``, ``numpy`` or ``reference``.
-
-    ``None`` defers to ``$REPRO_FEATURIZE_ENGINE`` (default ``auto``);
-    ``auto`` prefers the compiled kernel and falls back to the fused
-    NumPy pass (counting a ``featurize_kernel_fallbacks``).  Requesting
-    ``c`` without a compiler raises.
-    """
-    name = requested or os.environ.get("REPRO_FEATURIZE_ENGINE") or "auto"
-    if name not in ("auto", "c", "numpy", "reference"):
-        raise ValueError(f"unknown featurize engine {name!r}")
-    if name == "auto":
-        if has_ckernel():
-            return "c"
-        counter("featurize_kernel_fallbacks").inc()
-        return "numpy"
-    if name == "c" and not has_ckernel():
-        raise RuntimeError("compiled featurize kernel unavailable")
-    return name
-
-
-def active_engine() -> str:
-    """Resolved default engine name for observability (never raises)."""
-    try:
-        return resolve_engine(None)
-    except (RuntimeError, ValueError):
-        return "numpy"
+def _kernel() -> "ctypes.CDLL | None":
+    """The compiled featurize kernel, or ``None`` (fused NumPy pass)."""
+    return _ckernel.load("featurize", _KERNEL_SOURCE, _SIGNATURES)
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
@@ -259,7 +182,6 @@ class PairFeaturizer:
         self,
         view: Any,
         features: tuple[str, ...] = FEATURES_11,
-        engine: str | None = None,
     ) -> None:
         self.features = tuple(features)
         if len(set(self.features)) != len(self.features):
@@ -269,16 +191,19 @@ class PairFeaturizer:
             raise ValueError(f"unknown features: {unknown}")
         if not self.features:
             raise ValueError("need at least one feature")
-        self.engine = resolve_engine(engine)
-        self.view = view
+        self._kernel = _kernel()
+        self.engine = "numpy" if self._kernel is None else "c"
+        if self._kernel is None:
+            counter("featurize_kernel_fallbacks").inc()
         arrays: Mapping[str, np.ndarray] = (
             view.arrays() if hasattr(view, "arrays") else view
         )
-        self._cols = {
+        #: The nine base columns, contiguous float64, by name.
+        self.columns = {
             name: np.ascontiguousarray(arrays[name], dtype=np.float64)
             for name in BASE_COLUMNS
         }
-        self.n = len(self._cols["vx"])
+        self.n = len(self.columns["vx"])
         self._codes = np.array(
             [FEATURE_CODES[name] for name in self.features], dtype=np.int32
         )
@@ -296,7 +221,7 @@ class PairFeaturizer:
         """The ``(9, n)`` C-contiguous base-column matrix (lazy)."""
         if self._packed is None:
             self._packed = np.ascontiguousarray(
-                np.stack([self._cols[name] for name in BASE_COLUMNS])
+                np.stack([self.columns[name] for name in BASE_COLUMNS])
                 if self.n
                 else np.zeros((len(BASE_COLUMNS), 0))
             )
@@ -305,15 +230,15 @@ class PairFeaturizer:
     def out_buffer(self, capacity: int) -> np.ndarray:
         """A ``(capacity, n_features)`` float64 buffer for this engine.
 
-        The C and reference engines write row-major (each pair's row is
-        contiguous, as the classifier chunks want it); the fused NumPy
-        engine gets a feature-major layout (``np.empty((F, cap)).T``) so
-        its per-feature ``out=`` writes are contiguous.  Both are valid
+        The C engine writes row-major (each pair's row is contiguous, as
+        the classifier chunks want it); the fused NumPy engine gets a
+        feature-major layout (``np.empty((F, cap)).T``) so its
+        per-feature ``out=`` writes are contiguous.  Both are valid
         ``(capacity, F)`` arrays; consumers are layout-agnostic.
         """
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if self.engine == "numpy":
+        if self._kernel is None:
             return np.empty((self.n_features, capacity)).T
         return np.empty((capacity, self.n_features))
 
@@ -346,14 +271,10 @@ class PairFeaturizer:
         if len(i) != len(j):
             raise ValueError("i and j disagree on pair count")
         self._check_out(out, len(i))
-        if self.engine == "c":
+        if self._kernel is not None:
             self._c_rows(i, j, out, legal_only=False)
-        elif self.engine == "numpy":
-            self._numpy_rows(i, j, out)
         else:
-            out[: len(i)] = compute_pair_features(
-                self.view, i, j, self.features
-            )
+            self._numpy_rows(i, j, out)
         self._observe(len(i))
         return out[: len(i)]
 
@@ -374,7 +295,7 @@ class PairFeaturizer:
         if len(i) != len(j):
             raise ValueError("i and j disagree on pair count")
         self._check_out(out, len(i))
-        if self.engine == "c":
+        if self._kernel is not None:
             keep_i = np.empty(len(i), dtype=np.int64)
             keep_j = np.empty(len(j), dtype=np.int64)
             rows = self._c_rows(
@@ -382,15 +303,10 @@ class PairFeaturizer:
             )
             self._observe(rows)
             return keep_i[:rows].copy(), keep_j[:rows].copy(), out[:rows]
-        out_area = self._cols["out_area"]
+        out_area = self.columns["out_area"]
         legal = ~((out_area[i] > 0.0) & (out_area[j] > 0.0))
         i, j = i[legal], j[legal]
-        if self.engine == "numpy":
-            self._numpy_rows(i, j, out)
-        else:
-            out[: len(i)] = compute_pair_features(
-                self.view, i, j, self.features
-            )
+        self._numpy_rows(i, j, out)
         self._observe(len(i))
         return i, j, out[: len(i)]
 
@@ -410,14 +326,12 @@ class PairFeaturizer:
         keep_i: np.ndarray | None = None,
         keep_j: np.ndarray | None = None,
     ) -> int:
-        kernel = _get_kernel()
-        assert kernel is not None  # resolve_engine guarantees it
         if not out.flags.c_contiguous:
             raise ValueError(
                 "the C featurize engine needs a C-contiguous out buffer "
                 "(allocate it with out_buffer())"
             )
-        rows = kernel.repro_featurize(
+        rows = self._kernel.repro_featurize(
             _ptr(self._packed_cols()),
             ctypes.c_int64(self.n),
             _ptr(i),
@@ -448,7 +362,7 @@ class PairFeaturizer:
         o = out[:m]
         pos = {name: k for k, name in enumerate(self.features)}
         need = set(self.features)
-        cols = self._cols
+        cols = self.columns
 
         def dest(name: str) -> np.ndarray:
             k = pos.get(name)

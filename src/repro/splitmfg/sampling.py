@@ -8,7 +8,7 @@ the top-layer coordinate limit of Section III-G ("Y" configurations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,6 +23,20 @@ COORD_TOL = 1e-6
 
 #: The paper's default neighborhood percentile (Section III-D).
 DEFAULT_NEIGHBORHOOD_PERCENTILE = 90.0
+
+
+def axis_aligned(
+    arrays: Mapping[str, np.ndarray], i: np.ndarray, j: Any, axis: str
+) -> np.ndarray:
+    """Mask of the pairs ``(i[k], j[k])`` that share the ``axis`` coordinate.
+
+    The top-layer limit of Section III-G: at the highest via layer a "Y"
+    configuration only considers v-pins on the same ``y`` (``axis="y"``;
+    ``"x"`` compares ``vx``).  ``arrays`` holds the view's ``vx``/``vy``
+    columns; ``j`` may be a single index.
+    """
+    coords = arrays["vy" if axis == "y" else "vx"]
+    return np.abs(coords[i] - coords[j]) <= COORD_TOL
 
 
 @dataclass
@@ -249,11 +263,9 @@ def neighborhood_negative_pairs(
                 if allowed is not None and len(neighbors):
                     neighbors = neighbors[allowed[neighbors]]
                 if y_aligned_only and len(neighbors):
-                    aligned = np.abs(arr["vy"][neighbors] - arr["vy"][i]) <= COORD_TOL
-                    neighbors = neighbors[aligned]
+                    neighbors = neighbors[axis_aligned(arr, neighbors, i, "y")]
                 if x_aligned_only and len(neighbors):
-                    aligned = np.abs(arr["vx"][neighbors] - arr["vx"][i]) <= COORD_TOL
-                    neighbors = neighbors[aligned]
+                    neighbors = neighbors[axis_aligned(arr, neighbors, i, "x")]
                 neighbor_cache[i] = neighbors
             if len(neighbors) == 0:
                 continue
@@ -378,12 +390,10 @@ def build_training_set(
             keep = mask[pos_i] & mask[pos_j]
             pos_i, pos_j = pos_i[keep], pos_j[keep]
         if y_aligned_only and len(pos_i):
-            arr = view.arrays()
-            keep = np.abs(arr["vy"][pos_i] - arr["vy"][pos_j]) <= COORD_TOL
+            keep = axis_aligned(view.arrays(), pos_i, pos_j, "y")
             pos_i, pos_j = pos_i[keep], pos_j[keep]
         if x_aligned_only and len(pos_i):
-            arr = view.arrays()
-            keep = np.abs(arr["vx"][pos_i] - arr["vx"][pos_j]) <= COORD_TOL
+            keep = axis_aligned(view.arrays(), pos_i, pos_j, "x")
             pos_i, pos_j = pos_i[keep], pos_j[keep]
         n_pos = len(pos_i)
         if n_pos == 0:

@@ -11,7 +11,11 @@ import os
 
 import pytest
 
+from repro import _ckernel
+from repro.ml import fit_engine
 from repro.runtime import set_default_cache
+from repro.serve import engine as serve_engine
+from repro.splitmfg import featurize_engine
 from repro.splitmfg.vpin_features import make_split_view
 from repro.synth.benchmarks import BENCHMARK_SPECS, build_benchmark
 
@@ -31,6 +35,55 @@ def _reset_default_feature_cache():
     """CLI commands install a process-global cache; never leak it."""
     yield
     set_default_cache(None)
+
+
+#: The engines' kernel getters; each returns ``None`` when its C kernel
+#: did not load.
+ENGINE_KERNELS = (fit_engine._kernel, featurize_engine._kernel, serve_engine._kernel)
+
+#: Kernel modes, in the order :class:`Kernels` iterates them.
+KERNEL_MODES = ("c", "numpy")
+
+
+class Kernels:
+    """Switch the compiled kernels on and off inside one test.
+
+    ``"c"`` runs the engines as they load (the compiled kernels);
+    ``"numpy"`` patches :func:`repro._ckernel.load` to return ``None``,
+    so every engine takes its NumPy path.  Iterating runs the loop body
+    once per mode (``"c"`` only when the kernels compiled); :meth:`use`
+    selects one mode for a test parametrized over it.
+    """
+
+    def __init__(self, patch: pytest.MonkeyPatch) -> None:
+        self._patch = patch
+
+    def use(self, mode: str) -> str:
+        self._patch.undo()
+        if mode == "numpy":
+            self._patch.setattr(_ckernel, "load", lambda *args: None)
+        elif mode != "c":
+            raise ValueError(f"unknown kernel mode {mode!r}")
+        elif not self.compiled():
+            pytest.skip("no C compiler")
+        return mode
+
+    @staticmethod
+    def compiled() -> bool:
+        return all(kernel() is not None for kernel in ENGINE_KERNELS)
+
+    def __iter__(self):
+        self._patch.undo()
+        for mode in KERNEL_MODES:
+            if mode == "numpy" or self.compiled():
+                yield self.use(mode)
+
+
+@pytest.fixture
+def kernels():
+    """A :class:`Kernels` switch, restored to the compiled kernels after."""
+    with pytest.MonkeyPatch.context() as patch:
+        yield Kernels(patch)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ import pytest
 from repro.ml.bagging import Bagging
 from repro.ml.tree import REPTree
 
+from ..serve.predict_oracle import looped_predict_proba
+
 
 def _data(n=300, seed=0):
     rng = np.random.default_rng(seed)
@@ -82,7 +84,7 @@ class TestBagging:
         for voting in ("soft", "hard"):
             model = Bagging(n_estimators=6, seed=8, voting=voting).fit(X, y)
             assert np.array_equal(
-                model.predict_proba(Xt), model.predict_proba_looped(Xt)
+                model.predict_proba(Xt), looped_predict_proba(model, Xt)
             ), voting
 
     def test_deterministic(self):

@@ -1,33 +1,31 @@
-"""Bit-identity and resolution tests for the presorted fit engine.
+"""Bit-identity and kernel-selection tests for the presorted fit engine.
 
-The contract under test (see ``repro/ml/fit_engine.py``): every engine
--- presorted NumPy scan and compiled C kernel -- grows node-for-node
-identical trees to the reference per-node-argsort grower, on every
-input including ties, duplicated columns, constant features,
-``min_samples_leaf`` edges and depth-cap hits.
+The contract under test (see ``repro/ml/fit_engine.py``): both split
+searches -- the compiled C kernel and the presorted NumPy scan -- grow
+node-for-node identical trees to the per-node-argsort oracle
+(``tree_oracle.py``), on every input including ties, duplicated
+columns, constant features, ``min_samples_leaf`` edges and depth-cap
+hits.  Each equality test runs once per kernel mode (the ``kernels``
+fixture).
 """
 
 import numpy as np
 import pytest
 
+from repro import _ckernel
 from repro.ml import fit_engine
 from repro.ml.bagging import Bagging
-from repro.ml.fit_engine import (
-    _entropy_scalar,
-    _entropy_terms,
-    active_engine,
-    grow_tree,
-    has_ckernel,
-    resolve_engine,
-)
+from repro.ml.fit_engine import _entropy_scalar, _entropy_terms, grow_tree
 from repro.ml.forest import RandomForest
 from repro.ml.tree import REPTree, RandomTree
+from repro.obs.metrics import get_registry
 
-needs_ckernel = pytest.mark.skipif(
-    not has_ckernel(), reason="no C compiler available"
+from .tree_oracle import (
+    OracleRandomTree,
+    OracleREPTree,
+    oracle_bagging,
+    oracle_random_forest,
 )
-
-ENGINES = ["numpy"] + (["c"] if has_ckernel() else [])
 
 
 def _frozen_tuple(model):
@@ -68,128 +66,106 @@ class TestEngineEquality:
 
     @pytest.mark.parametrize("kind", DATASET_KINDS)
     @pytest.mark.parametrize("n", [30, 200, 1000])
-    def test_reptree_identical_trees(self, kind, n):
+    def test_reptree_identical_trees(self, kind, n, kernels):
         rng = np.random.default_rng([DATASET_KINDS.index(kind), n])
         X, y = _make_dataset(kind, n, rng)
-        reference = REPTree(seed=5, engine="reference").fit(X, y)
+        reference = OracleREPTree(seed=5).fit(X, y)
         X_test = rng.normal(size=(64, X.shape[1]))
-        for engine in ENGINES:
-            model = REPTree(seed=5, engine=engine).fit(X, y)
-            assert _frozen_tuple(model) == _frozen_tuple(reference), engine
+        for mode in kernels:
+            model = REPTree(seed=5).fit(X, y)
+            assert _frozen_tuple(model) == _frozen_tuple(reference), mode
             assert np.array_equal(
                 model.predict_proba(X_test), reference.predict_proba(X_test)
             )
 
     @pytest.mark.parametrize("kind", DATASET_KINDS)
     @pytest.mark.parametrize("min_samples_leaf", [1, 2, 5])
-    def test_randomtree_identical_trees(self, kind, min_samples_leaf):
+    def test_randomtree_identical_trees(self, kind, min_samples_leaf, kernels):
         """RandomTree: per-node RNG feature sampling must stay in sync."""
         rng = np.random.default_rng([DATASET_KINDS.index(kind), min_samples_leaf])
         X, y = _make_dataset(kind, 300, rng)
-        reference = RandomTree(
-            seed=9, min_samples_leaf=min_samples_leaf, engine="reference"
+        reference = OracleRandomTree(
+            seed=9, min_samples_leaf=min_samples_leaf
         ).fit(X, y)
         X_test = rng.normal(size=(64, X.shape[1]))
-        for engine in ENGINES:
-            model = RandomTree(
-                seed=9, min_samples_leaf=min_samples_leaf, engine=engine
-            ).fit(X, y)
-            assert _frozen_tuple(model) == _frozen_tuple(reference), engine
+        for mode in kernels:
+            model = RandomTree(seed=9, min_samples_leaf=min_samples_leaf).fit(X, y)
+            assert _frozen_tuple(model) == _frozen_tuple(reference), mode
             assert np.array_equal(
                 model.predict_proba(X_test), reference.predict_proba(X_test)
             )
 
     @pytest.mark.parametrize("max_depth", [2, 4, 25])
-    def test_depth_cap_hits(self, max_depth):
+    def test_depth_cap_hits(self, max_depth, kernels):
         rng = np.random.default_rng(77)
         X, y = _make_dataset("ties", 500, rng)
-        reference = REPTree(
-            seed=1, max_depth=max_depth, engine="reference"
-        ).fit(X, y)
-        for engine in ENGINES:
-            model = REPTree(seed=1, max_depth=max_depth, engine=engine).fit(X, y)
-            assert _frozen_tuple(model) == _frozen_tuple(reference), engine
+        reference = OracleREPTree(seed=1, max_depth=max_depth).fit(X, y)
+        for mode in kernels:
+            model = REPTree(seed=1, max_depth=max_depth).fit(X, y)
+            assert _frozen_tuple(model) == _frozen_tuple(reference), mode
             assert model.depth <= max_depth
 
     @pytest.mark.parametrize("min_samples_leaf", [1, 2, 7])
-    def test_min_samples_leaf_edges(self, min_samples_leaf):
+    def test_min_samples_leaf_edges(self, min_samples_leaf, kernels):
         rng = np.random.default_rng(13)
         # n barely above 2*msl plus a pure-class column tempting an
         # msl-violating split.
         X, y = _make_dataset("ties", 2 * min_samples_leaf + 3, rng)
-        reference = REPTree(
-            seed=2, min_samples_leaf=min_samples_leaf, engine="reference"
-        ).fit(X, y)
-        for engine in ENGINES:
-            model = REPTree(
-                seed=2, min_samples_leaf=min_samples_leaf, engine=engine
-            ).fit(X, y)
-            assert _frozen_tuple(model) == _frozen_tuple(reference), engine
+        reference = OracleREPTree(seed=2, min_samples_leaf=min_samples_leaf).fit(X, y)
+        for mode in kernels:
+            model = REPTree(seed=2, min_samples_leaf=min_samples_leaf).fit(X, y)
+            assert _frozen_tuple(model) == _frozen_tuple(reference), mode
 
-    def test_ensembles_identical(self):
+    def test_ensembles_identical(self, kernels):
         rng = np.random.default_rng(21)
         X, y = _make_dataset("ties", 400, rng)
         X_test = rng.normal(size=(120, X.shape[1]))
-        reference = Bagging(seed=4, engine="reference").fit(X, y)
-        rf_reference = RandomForest(
-            n_estimators=6, seed=4, engine="reference"
-        ).fit(X, y)
-        for engine in ENGINES:
-            bag = Bagging(seed=4, engine=engine).fit(X, y)
+        reference = oracle_bagging(seed=4).fit(X, y)
+        rf_reference = oracle_random_forest(n_estimators=6, seed=4).fit(X, y)
+        for _mode in kernels:
+            bag = Bagging(seed=4).fit(X, y)
             assert np.array_equal(
                 bag.predict_proba(X_test), reference.predict_proba(X_test)
             )
-            forest = RandomForest(n_estimators=6, seed=4, engine=engine).fit(X, y)
+            forest = RandomForest(n_estimators=6, seed=4).fit(X, y)
             assert np.array_equal(
                 forest.predict_proba(X_test),
                 rf_reference.predict_proba(X_test),
             )
 
-    def test_single_class_and_tiny_inputs(self):
+    def test_single_class_and_tiny_inputs(self, kernels):
         X = np.array([[0.0], [1.0], [2.0]])
         for y in (np.zeros(3), np.ones(3)):
-            for engine in ENGINES:
-                model = REPTree(seed=0, engine=engine).fit(X, y)
+            for _mode in kernels:
+                model = REPTree(seed=0).fit(X, y)
                 assert model.n_nodes == 1  # pure node: no split
 
-    def test_non_binary_labels_fall_back_to_reference(self):
-        """Presorted engines assume 0/1 labels; others use the oracle."""
+    def test_non_binary_labels_rejected(self, kernels):
+        """Both kernels count classes exactly, so labels must be 0/1."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 3))
-        y = rng.random(60)  # fractional "labels"
-        reference = REPTree(seed=6, engine="reference").fit(X, y)
-        model = REPTree(seed=6).fit(X, y)  # auto
-        assert _frozen_tuple(model) == _frozen_tuple(reference)
+        for y in (rng.random(60), np.full(60, 2.0), np.r_[np.zeros(30), -np.ones(30)]):
+            for _mode in kernels:
+                for model in (REPTree(seed=6), RandomTree(seed=6), Bagging(seed=6)):
+                    with pytest.raises(ValueError, match="0 or 1"):
+                        model.fit(X, y)
 
 
 class TestGrowTree:
-    def test_stats_counters(self):
+    def test_stats_counters(self, kernels):
         rng = np.random.default_rng(8)
         X, y = _make_dataset("plain", 200, rng)
-        root, stats = grow_tree(
-            X,
-            y,
-            candidate_features=lambda n_features: np.arange(n_features),
-            max_depth=25,
-            min_samples_leaf=2,
-            min_gain=1e-7,
-        )
-        assert stats["nodes"] == 2 * stats["splits"] + 1
-        assert not root.is_leaf
-
-    def test_forced_c_without_kernel_raises(self, monkeypatch):
-        monkeypatch.setattr(fit_engine, "_kernel", None)
-        monkeypatch.setattr(fit_engine, "_kernel_tried", True)
-        with pytest.raises(RuntimeError):
-            grow_tree(
-                np.zeros((4, 2)),
-                np.array([0.0, 1.0, 0.0, 1.0]),
-                candidate_features=np.arange,
-                max_depth=5,
-                min_samples_leaf=1,
+        for _mode in kernels:
+            root, stats = grow_tree(
+                X,
+                y,
+                candidate_features=lambda n_features: np.arange(n_features),
+                max_depth=25,
+                min_samples_leaf=2,
                 min_gain=1e-7,
-                use_c=True,
             )
+            assert stats["nodes"] == 2 * stats["splits"] + 1
+            assert not root.is_leaf
 
 
 class TestEntropyScalar:
@@ -205,37 +181,49 @@ class TestEntropyScalar:
                 assert _entropy_scalar(pos, neg) == array_form, (pos, neg)
 
 
+def _tree_fits(engine: str) -> int:
+    counters = get_registry().snapshot()["counters"]
+    return counters.get(f"tree_fits{{engine={engine}}}", 0)
+
+
+def _fit_once() -> None:
+    rng = np.random.default_rng(4)
+    X, y = _make_dataset("plain", 80, rng)
+    REPTree(seed=0).fit(X, y)
+
+
 class TestEngineResolution:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_ENGINE", "reference")
-        assert resolve_engine(None) == "reference"
-        assert resolve_engine("numpy") == "numpy"  # explicit beats env
+    """The engine is whichever kernel loaded; ``$CC`` is the only control."""
+
+    @pytest.fixture()
+    def fresh_loader(self, monkeypatch):
+        """An empty kernel cache, so the next load compiles again."""
+        monkeypatch.setattr(_ckernel, "_loaded", {})
+
+    def test_env_override(self, monkeypatch, fresh_loader):
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        assert fit_engine._kernel() is None
+        before = _tree_fits("numpy")
+        _fit_once()
+        assert _tree_fits("numpy") == before + 1
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_engine("fortran")
+        for cls in (REPTree, RandomTree, Bagging, RandomForest):
+            with pytest.raises(TypeError):
+                cls(engine="c")
 
-    def test_auto_without_kernel_is_numpy(self, monkeypatch):
-        monkeypatch.setattr(fit_engine, "_kernel", None)
-        monkeypatch.setattr(fit_engine, "_kernel_tried", True)
-        assert resolve_engine("auto") == "numpy"
-        assert active_engine() == "numpy"
-        with pytest.raises(RuntimeError):
-            resolve_engine("c")
+    def test_auto_without_kernel_is_numpy(self, kernels):
+        kernels.use("numpy")
+        before = _tree_fits("numpy"), _tree_fits("c")
+        _fit_once()
+        assert (_tree_fits("numpy"), _tree_fits("c")) == (before[0] + 1, before[1])
 
-    @needs_ckernel
-    def test_auto_with_kernel_is_c(self):
-        assert resolve_engine(None) in ("c", "numpy", "reference")
-        assert resolve_engine("auto") == "c"
+    def test_auto_with_kernel_is_c(self, kernels):
+        kernels.use("c")
+        before = _tree_fits("numpy"), _tree_fits("c")
+        _fit_once()
+        assert (_tree_fits("numpy"), _tree_fits("c")) == (before[0], before[1] + 1)
 
-    def test_active_engine_never_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_ENGINE", "c")
-        monkeypatch.setattr(fit_engine, "_kernel", None)
-        monkeypatch.setattr(fit_engine, "_kernel_tried", True)
-        assert active_engine() == "numpy"
-
-    def test_no_ckernel_env_disables_compilation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_NO_CKERNEL", "1")
-        monkeypatch.setattr(fit_engine, "_kernel", None)
-        monkeypatch.setattr(fit_engine, "_kernel_tried", False)
-        assert fit_engine._get_kernel() is None
+    def test_no_ckernel_env_disables_compilation(self, monkeypatch, fresh_loader):
+        monkeypatch.setenv("CC", "false")
+        assert fit_engine._kernel() is None

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.ml.tree import REPTree, RandomTree, _best_split
+from repro.ml.tree import REPTree, RandomTree
+
+from .tree_oracle import _best_split
 
 
 class TestBestSplit:

@@ -6,7 +6,9 @@ import pytest
 from repro.ml.bagging import Bagging
 from repro.ml.forest import RandomForest
 from repro.ml.tree import RandomTree, REPTree
-from repro.serve.engine import StackedEnsemble, has_ckernel
+from repro.serve.engine import StackedEnsemble
+
+from .predict_oracle import looped_predict_proba
 
 
 def _data(n=400, n_features=6, seed=0):
@@ -29,26 +31,28 @@ def _models():
 
 class TestEquivalence:
     @pytest.mark.parametrize("kernel", ["numpy", "auto"])
-    def test_bit_identical_to_looped(self, kernel):
+    def test_bit_identical_to_looped(self, kernel, kernels):
+        """``auto`` scores with whichever kernel loaded, ``numpy`` without C."""
+        if kernel == "numpy":
+            kernels.use("numpy")
         Xt, _ = _data(n=3000, seed=9)
         for model in _models():
             engine = StackedEnsemble.from_model(model)
             if isinstance(model, Bagging):
-                reference = model.predict_proba_looped(Xt)
+                reference = looped_predict_proba(model, Xt)
             else:
                 reference = model.predict_proba(Xt)
-            scored = engine.predict_proba(Xt, kernel=kernel)
+            scored = engine.predict_proba(Xt)
             assert np.array_equal(reference, scored), type(model).__name__
 
-    def test_kernels_agree(self):
+    def test_kernels_agree(self, kernels):
         X, y = _data()
         Xt, _ = _data(n=2000, seed=7)
-        engine = StackedEnsemble.from_model(Bagging(n_estimators=4, seed=6).fit(X, y))
-        via_numpy = engine.predict_proba(Xt, kernel="numpy")
-        via_auto = engine.predict_proba(Xt, kernel="auto")
-        assert np.array_equal(via_numpy, via_auto)
-        if has_ckernel():
-            assert np.array_equal(via_numpy, engine.predict_proba(Xt, kernel="c"))
+        model = Bagging(n_estimators=4, seed=6).fit(X, y)
+        engine = StackedEnsemble.from_model(model)
+        reference = looped_predict_proba(model, Xt)
+        for mode in kernels:
+            assert np.array_equal(engine.predict_proba(Xt), reference), mode
 
     def test_chunking_invariant(self):
         X, y = _data()
@@ -62,7 +66,7 @@ class TestEquivalence:
         X, y = _data()
         Xt, _ = _data(n=500, seed=11)
         model = Bagging(n_estimators=6, seed=10).fit(X, y)
-        assert np.array_equal(model.predict_proba(Xt), model.predict_proba_looped(Xt))
+        assert np.array_equal(model.predict_proba(Xt), looped_predict_proba(model, Xt))
         assert model._engine is not None
         model.fit(X, y)  # refit invalidates the cached engine
         assert model._engine is None
@@ -95,7 +99,7 @@ class TestValidation:
     def test_bad_kernel_and_chunk(self):
         X, y = _data()
         engine = StackedEnsemble.from_model(REPTree(seed=0).fit(X, y))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the kernel is not selectable
             engine.predict_proba(X, kernel="gpu")
         with pytest.raises(ValueError):
             engine.predict_proba(X, chunk_size=0)

@@ -74,7 +74,6 @@ class TestParser:
         assert args.layer == 8
         assert args.features == 9
         assert args.budget_mb is None
-        assert args.engine is None
 
 
 class TestCommands:
