@@ -1,24 +1,18 @@
-"""Load benchmark for the serving layer: batched vs unbatched throughput.
+"""Load benchmark for the serving layer: one real ``repro serve``.
 
-Spawns two real ``repro serve`` subprocesses over the same registry --
-one with micro-batching disabled (``--batch-window 0``) and one with a
-coalescing window -- then drives both with a pool of concurrent HTTP
-clients.  Gates:
+Spawns a ``repro serve`` subprocess, whose handler threads score each
+request inline, and drives it with a pool of concurrent HTTP clients.
+Gates:
 
 * every concurrent response is byte-identical (modulo ``time_s``) to
-  the serial, unbatched reference;
-* zero 5xx responses, read back from each server's ``/metrics``;
+  the serial reference taken off the same server;
+* zero 5xx responses, read back from the server's ``/metrics``;
 * p99 ``/predict`` latency (from the ``http_request_seconds`` histogram
-  in ``/metrics``) stays under ``REPRO_SERVE_LOAD_P99_LIMIT`` seconds;
-* the batched server shows its ``serving_*`` metrics;
-* on machines with >= 4 cores, batched throughput >= 2x unbatched.
+  in ``/metrics``) stays under ``REPRO_SERVE_LOAD_P99_LIMIT`` seconds.
 
-Both servers run with ``CC=false``, so no C kernel compiles and they
-score through the NumPy engines: the NumPy traversal pays a large
-per-invocation Python cost, which is exactly what coalescing amortises
-(the C kernel already releases the GIL, so the contrast there is
-hardware-dependent).  Scale knobs:
-``REPRO_SERVE_LOAD_CLIENTS`` (default 8) and
+The server runs with ``CC=false``, so no C kernel compiles and it
+scores through the NumPy engines, the slowest per-request path.  Scale
+knobs: ``REPRO_SERVE_LOAD_CLIENTS`` (default 8) and
 ``REPRO_SERVE_LOAD_REQUESTS`` (default 8 per client).
 """
 
@@ -48,8 +42,8 @@ N_CLIENTS = int(os.environ.get("REPRO_SERVE_LOAD_CLIENTS", "8"))
 N_REQUESTS = N_CLIENTS * int(os.environ.get("REPRO_SERVE_LOAD_REQUESTS", "8"))
 P99_LIMIT = float(os.environ.get("REPRO_SERVE_LOAD_P99_LIMIT", "10.0"))
 
-#: A deliberately heavy ensemble so each /predict pays enough kernel
-#: time for coalescing to matter at benchmark scale.
+#: A deliberately heavy ensemble so each /predict pays real scoring
+#: time at benchmark scale.
 CONFIG = dataclasses.replace(CONFIGS_BY_NAME["Imp-7"], n_estimators=40)
 
 
@@ -69,7 +63,7 @@ def challenges(views6):
 class ServerProc:
     """One ``repro serve`` subprocess; parses its port from stdout."""
 
-    def __init__(self, registry_root: Path, batch_window: float) -> None:
+    def __init__(self, registry_root: Path) -> None:
         self.proc = subprocess.Popen(
             [
                 sys.executable,
@@ -83,10 +77,6 @@ class ServerProc:
                 "127.0.0.1",
                 "--port",
                 "0",
-                "--workers",
-                str(N_CLIENTS),
-                "--batch-window",
-                str(batch_window),
                 "--quiet",
             ],
             cwd=REPO_ROOT,
@@ -192,71 +182,38 @@ def count_5xx(snapshot: dict) -> int:
     )
 
 
-def test_serve_load_batched_vs_unbatched(served_registry, challenges, benchmark):
-    cores = os.cpu_count() or 1
-    with ServerProc(served_registry, batch_window=0.0) as unbatched, \
-            ServerProc(served_registry, batch_window=0.005) as batched:
-        # Warm both servers (model load + feature extraction) and build
-        # the serial reference bodies off the unbatched server.
+def test_serve_load(served_registry, challenges, benchmark):
+    with ServerProc(served_registry) as server:
+        # Warm the server (model load + feature extraction) and build
+        # the serial reference bodies, one request at a time.
         serial_bodies = []
         for challenge in challenges:
-            status, body = post_predict(unbatched, challenge)
+            status, body = post_predict(server, challenge)
             assert status == 200
             serial_bodies.append(canonical(body))
-        for challenge in challenges:
-            status, _ = post_predict(batched, challenge)
-            assert status == 200
 
-        plain = run_load(unbatched, challenges)
         stats = {}
 
         def measured() -> None:
-            stats.update(run_load(batched, challenges))
+            stats.update(run_load(server, challenges))
 
         benchmark.pedantic(measured, rounds=1, iterations=1)
 
-        # Correctness first: every concurrent response -- batched or
-        # not -- must match the serial path byte for byte.
-        for label, run in (("unbatched", plain), ("batched", stats)):
-            for which, status, body in run["results"]:
-                assert status == 200, f"{label}: request got {status}"
-                assert canonical(body) == serial_bodies[which], (
-                    f"{label}: response for challenge {which} differs "
-                    "from the serial path"
-                )
+        # Every concurrent response must match the serial path byte for
+        # byte.
+        for which, status, body in stats["results"]:
+            assert status == 200, f"request got {status}"
+            assert canonical(body) == serial_bodies[which], (
+                f"response for challenge {which} differs from the serial path"
+            )
 
-        plain_metrics = unbatched.metrics()
-        batched_metrics = batched.metrics()
+        metrics = server.metrics()
 
-    assert count_5xx(plain_metrics) == 0
-    assert count_5xx(batched_metrics) == 0
+    assert count_5xx(metrics) == 0
+    assert p99_from_metrics(metrics) <= P99_LIMIT
 
-    for snapshot in (plain_metrics, batched_metrics):
-        assert p99_from_metrics(snapshot) <= P99_LIMIT
-
-    # The batcher must be visibly in the serving path.
-    histograms = batched_metrics["histograms"]
-    assert histograms["serving_batch_size"]["count"] >= 1
-    assert histograms["serving_batch_size"]["sum"] >= N_REQUESTS
-    assert histograms["serving_batch_wait_seconds"]["count"] >= N_REQUESTS
-    assert histograms["serving_queue_depth"]["count"] >= 1
-    assert "serving_batch_size" not in plain_metrics["histograms"]
-
-    speedup = stats["throughput_rps"] / plain["throughput_rps"]
-    benchmark.extra_info["cores"] = cores
+    benchmark.extra_info["cores"] = os.cpu_count() or 1
     benchmark.extra_info["clients"] = N_CLIENTS
     benchmark.extra_info["requests"] = N_REQUESTS
-    benchmark.extra_info["unbatched_rps"] = round(plain["throughput_rps"], 3)
-    benchmark.extra_info["batched_rps"] = round(stats["throughput_rps"], 3)
-    benchmark.extra_info["speedup"] = round(speedup, 3)
-    benchmark.extra_info["p99_bucket_s"] = p99_from_metrics(batched_metrics)
-    benchmark.extra_info["max_batch"] = histograms["serving_batch_size"]["max"]
-
-    # The throughput gate needs real parallel hardware; measure always,
-    # enforce only where the contrast is physically possible.
-    if cores >= 4:
-        assert speedup >= 2.0, (
-            f"batched serving only {speedup:.2f}x faster than unbatched "
-            f"({stats['throughput_rps']:.1f} vs "
-            f"{plain['throughput_rps']:.1f} rps)"
-        )
+    benchmark.extra_info["rps"] = round(stats["throughput_rps"], 3)
+    benchmark.extra_info["p99_bucket_s"] = p99_from_metrics(metrics)

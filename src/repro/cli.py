@@ -290,49 +290,30 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .obs.resources import start_resource_sampling, stop_resource_sampling
-    from .serve import AttackService, MicroBatcher, ModelRegistry, make_server
+    from .serve import AttackService, ModelRegistry, make_server
 
-    start_resource_sampling()  # /metrics reports live RSS/CPU gauges
-    batcher = None
-    if args.batch_window > 0:
-        batcher = MicroBatcher(
-            window=args.batch_window, max_items=args.batch_max
-        ).start()
     try:
-        service = AttackService(
-            ModelRegistry(args.registry, create=False), batcher=batcher
-        )
+        service = AttackService(ModelRegistry(args.registry, create=False))
     except FileNotFoundError as error:
-        if batcher is not None:
-            batcher.close()
-        stop_resource_sampling()
         print(str(error), file=sys.stderr)
         return 2
     server = make_server(
         service,
         host=args.host,
         port=args.port,
-        workers=args.workers,
         request_timeout=args.request_timeout or None,
     )
     server.quiet = args.quiet
+    start_resource_sampling()  # /metrics reports live RSS/CPU gauges
     host, port = server.server_address[:2]
     print(f"serving {len(service.models())} model(s) on http://{host}:{port}")
     print("endpoints: GET /health, GET /models, GET /metrics, POST /predict")
-    workers = f"{args.workers} pooled" if args.workers else "per-connection"
-    batching = (
-        f"window {args.batch_window * 1e3:g} ms, max {args.batch_max}"
-        if batcher is not None
-        else "off"
-    )
-    print(f"workers: {workers}; micro-batching: {batching}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
-        service.close()
         stop_resource_sampling()
     return 0
 
@@ -900,24 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--registry", default="models")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8787)
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="fixed handler thread pool size (0 = thread per connection)",
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        help="micro-batch coalescing window in seconds (0 disables batching)",
-    )
-    serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=64,
-        help="most concurrent requests merged into one inference batch",
-    )
     serve.add_argument(
         "--request-timeout",
         type=float,

@@ -1,4 +1,4 @@
-"""Model artifacts, registry, and batched attack-inference serving.
+"""Model artifacts, registry, and attack-inference serving.
 
 The paper's pipeline is train-once / infer-many: the classifier is fit on
 N-1 designs and then scores millions of candidate pairs on the target
@@ -14,16 +14,17 @@ production surface:
   trained ``REPTree``/``RandomTree``/``Bagging``/``RandomForest`` models
   to compact ``.npz`` + JSON bundles (see ``ARTIFACTS.md``);
 * :mod:`repro.serve.registry`  -- a directory-backed model store with
-  ``save``/``load``/``list``/``latest`` and integrity checks on load;
+  ``save``/``load``/``list``/``latest``, write-once model ids and
+  integrity checks on load;
 * :mod:`repro.serve.service`   -- :class:`AttackService`: accept a public
   challenge document, recompute pair features, score with a registry
   model, return LoCs / top-K candidates;
-* :mod:`repro.serve.batcher`   -- micro-batching front end: a
-  coalescing queue that merges concurrent scoring requests into single
-  kernel batches (bit-identical per-request results);
 * :mod:`repro.serve.http`      -- the same service over a stdlib
-  ``ThreadingHTTPServer`` JSON API, with an optional fixed worker pool
-  and a stalled-client watchdog.
+  ``ThreadingHTTPServer`` JSON API: each connection's handler thread
+  scores inline, behind a stalled-client watchdog;
+* :mod:`repro.serve.batcher`   -- a standalone micro-batching queue that
+  merges concurrent scoring calls into single kernel batches
+  (bit-identical per-call results); the HTTP path does not use it.
 
 CLI: ``python -m repro train-model / predict / serve / models``.
 """

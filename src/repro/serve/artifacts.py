@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,7 +83,9 @@ def _write_bundle(
 
     Shared by every artifact kind: the npz holds ``arrays`` verbatim and
     the manifest records the schema version, the payload checksum, the
-    kind-specific ``manifest_fields`` and the attack ``meta``.
+    kind-specific ``manifest_fields`` and the attack ``meta``.  The
+    manifest is written last, to a temp file renamed into place, so a
+    reader sees either no manifest or a complete one.
     """
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
@@ -96,8 +100,17 @@ def _write_bundle(
         "created_at": created_at or time.time(),
         "meta": meta,
     }
-    with open(json_path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+    # Per-writer temp name (a mkstemp file would be mode 0600).
+    temp_path = json_path.with_name(
+        f".{json_path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
+    try:
+        with open(temp_path, "w") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+        os.replace(temp_path, json_path)
+    except BaseException:
+        temp_path.unlink(missing_ok=True)
+        raise
     return manifest
 
 

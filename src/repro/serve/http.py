@@ -13,17 +13,14 @@ Endpoints:
   "top_k": <int, optional>}``; responds with the service's prediction
   document (per-v-pin LoCs / top-K candidates).
 
-Built on ``ThreadingHTTPServer`` so slow scoring requests do not block
-health checks; no third-party dependencies.  Two serving knobs harden
-it for real traffic:
-
-* ``workers=N`` switches from thread-per-connection to a fixed pool of
-  ``N`` handler threads draining an accept queue -- a concurrency bound
-  a load balancer can rely on instead of unbounded thread creation;
-* ``request_timeout`` arms a socket read timeout per connection, so a
-  client that opens a connection (or sends headers) and then stalls
-  (slowloris) is disconnected instead of pinning a handler thread
-  forever; every such stall increments ``http_disconnects{route}``.
+Built on ``ThreadingHTTPServer``: every connection gets its own
+handler thread, which scores its request inline through
+:meth:`AttackService.predict`, so slow scoring requests do not block
+health checks; no third-party dependencies.  ``request_timeout`` arms a
+socket read timeout per connection, so a client that opens a connection
+(or sends headers) and then stalls (slowloris) is disconnected instead
+of pinning a handler thread forever; every such stall increments
+``http_disconnects{route}``.
 
 Every response also feeds the observability stack: an
 ``http_requests{method,route,status}`` counter, an
@@ -36,8 +33,6 @@ INFO serve ...``; logs go to stderr, never into response bodies.
 from __future__ import annotations
 
 import json
-import queue
-import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -63,12 +58,8 @@ access_log = get_logger("serve.access")
 
 
 class AttackHTTPServer(ThreadingHTTPServer):
-    """A ``ThreadingHTTPServer`` bound to one :class:`AttackService`.
-
-    ``workers=0`` (the default) keeps the stdlib thread-per-connection
-    behaviour; ``workers=N`` installs a fixed pool of N handler threads
-    fed from an accept queue, bounding handler concurrency under load.
-    """
+    """A thread-per-connection ``ThreadingHTTPServer`` bound to one
+    :class:`AttackService`."""
 
     daemon_threads = True
 
@@ -76,11 +67,8 @@ class AttackHTTPServer(ThreadingHTTPServer):
         self,
         address: tuple[str, int],
         service: AttackService,
-        workers: int = 0,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError("request_timeout must be positive (or None)")
         super().__init__(address, _Handler)
@@ -88,54 +76,10 @@ class AttackHTTPServer(ThreadingHTTPServer):
         self.quiet = True
         self.started = time.time()
         self.request_timeout = request_timeout
-        self._accept_queue: "queue.SimpleQueue[Any] | None" = None
-        self._workers: list[threading.Thread] = []
-        if workers:
-            self._accept_queue = queue.SimpleQueue()
-            for index in range(workers):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"repro-http-worker-{index}",
-                    daemon=True,
-                )
-                thread.start()
-                self._workers.append(thread)
-
-    # -- worker pool ----------------------------------------------------
-
-    def process_request(self, request, client_address) -> None:
-        """Dispatch one accepted connection (pool or thread-per-request)."""
-        if self._accept_queue is None:
-            super().process_request(request, client_address)
-        else:
-            self._accept_queue.put((request, client_address))
-
-    def _worker_loop(self) -> None:
-        """One pool worker: drain accepted connections until shutdown."""
-        assert self._accept_queue is not None
-        while True:
-            item = self._accept_queue.get()
-            if item is None:
-                return
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
 
     def handle_error(self, request, client_address) -> None:
         if not getattr(self, "quiet", True):
             super().handle_error(request, client_address)
-
-    def server_close(self) -> None:
-        super().server_close()
-        if self._accept_queue is not None:
-            for _ in self._workers:
-                self._accept_queue.put(None)
-            for thread in self._workers:
-                thread.join(timeout=5)
 
 
 class _StallCountingReader:
@@ -362,16 +306,11 @@ def make_server(
     service: AttackService,
     host: str = "127.0.0.1",
     port: int = 8787,
-    workers: int = 0,
     request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
 ) -> AttackHTTPServer:
     """Bind (but do not start) the JSON API server; ``port=0`` picks a
     free port (see ``server.server_address``).
 
-    ``workers`` bounds handler concurrency with a fixed thread pool
-    (``0`` = stdlib thread-per-connection); ``request_timeout`` arms the
-    per-connection stalled-client watchdog.
+    ``request_timeout`` arms the per-connection stalled-client watchdog.
     """
-    return AttackHTTPServer(
-        (host, port), service, workers=workers, request_timeout=request_timeout
-    )
+    return AttackHTTPServer((host, port), service, request_timeout=request_timeout)

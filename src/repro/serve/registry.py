@@ -3,12 +3,14 @@
 A registry is a flat directory of artifact bundles (``<model_id>.npz`` +
 ``<model_id>.json``, see :mod:`repro.serve.artifacts`).  Model ids are
 ``<name>-vNNNN``; saving under an existing name allocates the next
-version.  Loads go through the artifact layer and therefore verify the
-payload checksum and schema version.
+version, and an id, once written, is never rewritten.  Loads go through
+the artifact layer and therefore verify the payload checksum and schema
+version.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,9 +57,6 @@ class RegistryEntry:
     created_at: float
     manifest_path: Path
     meta: dict[str, Any]
-    #: Manifest file mtime at scan time; the serving layer compares it
-    #: against its cached copy to hot-reload republished artifacts.
-    manifest_mtime_ns: int = 0
 
     def describe(self) -> dict[str, Any]:
         """JSON-able summary (what ``GET /models`` returns per model)."""
@@ -100,10 +99,6 @@ class ModelRegistry:
             manifest = read_manifest(manifest_path)
         except ArtifactError:
             return None
-        try:
-            mtime_ns = manifest_path.stat().st_mtime_ns
-        except OSError:
-            mtime_ns = 0
         return RegistryEntry(
             model_id=manifest_path.stem,
             name=match.group("name"),
@@ -114,7 +109,6 @@ class ModelRegistry:
             created_at=float(manifest.get("created_at", 0.0)),
             manifest_path=manifest_path,
             meta=manifest.get("meta", {}),
-            manifest_mtime_ns=mtime_ns,
         )
 
     def list(self, name: str | None = None) -> list[RegistryEntry]:
@@ -150,15 +144,32 @@ class ModelRegistry:
 
         ``name`` defaults to the attack configuration recorded in the
         artifact metadata, falling back to the model kind.
+
+        Model ids are write-once: the id is claimed by creating its
+        manifest exclusively (an empty file, which scans skip), so
+        concurrent saves under one name get distinct versions and an
+        existing id is never overwritten.  The artifact then publishes
+        its manifest over the claim atomically.
         """
         if name is None:
             name = artifact.meta.get("config", {}).get("name") or artifact.kind
         name = _sanitize_name(name)
         current = self.latest(name)
         version = 1 if current is None else current.version + 1
-        model_id = f"{name}-v{version:04d}"
-        artifact.save(self.root / model_id)
-        entry = self._entry(self.root / f"{model_id}.json")
+        while True:
+            model_id = f"{name}-v{version:04d}"
+            claim = self.root / f"{model_id}.json"
+            try:
+                os.close(os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                break
+            except FileExistsError:
+                version += 1
+        try:
+            artifact.save(self.root / model_id)
+        except BaseException:
+            claim.unlink(missing_ok=True)
+            raise
+        entry = self._entry(claim)
         assert entry is not None
         return entry
 

@@ -20,7 +20,7 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from ..attack.framework import (
     evaluate_attack,
     train_attack,
 )
-from ..attack.result import AttackResult
 from ..attack.topk import evaluate_attack_topk
 from ..splitmfg.challenge import challenge_from_dicts
 from ..splitmfg.split import SplitView
@@ -42,11 +41,12 @@ from .artifacts import (
     ModelArtifact,
     artifact_from_model,
 )
-from ..obs.metrics import counter
-from .batcher import MicroBatcher
 from .registry import ModelRegistry, RegistryEntry
 
 DEFAULT_THRESHOLD = 0.5
+
+#: Most loaded models :class:`AttackService` keeps warm (LRU by model id).
+MODEL_CACHE_SIZE = 4
 
 
 def package_trained_attack(
@@ -118,112 +118,48 @@ class _LoadedModel:
 
     entry: RegistryEntry
     trained: TrainedAttack
-    #: Manifest mtime when the artifact was loaded; a mismatch against
-    #: the registry's current entry triggers a hot reload.
-    manifest_mtime_ns: int = 0
-
-
-class _BatchedModel:
-    """``predict_proba`` proxy routing score calls through a batcher.
-
-    Wraps the real loaded model so the attack evaluators stay oblivious
-    to batching; every attribute other than ``predict_proba`` is
-    delegated to the wrapped model.
-    """
-
-    __slots__ = ("_batcher", "_key", "_model")
-
-    def __init__(self, batcher: MicroBatcher, key: str, model: Any) -> None:
-        self._batcher = batcher
-        self._key = key
-        self._model = model
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._batcher.score(self._key, self._model, X)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._model, name)
 
 
 class AttackService:
     """Score public challenge documents with registry models.
 
-    Thread-safe for concurrent HTTP handler threads: the model LRU
-    cache is guarded by a lock (lookups, recency updates, inserts and
-    evictions are all serialized); scoring itself only reads shared
-    arrays.  Artifact loads happen *outside* the lock so a cold model
-    never stalls requests already holding a loaded one.
-
-    Hot reload: every ``_load`` re-resolves the registry entry and
-    compares the manifest mtime against the cached copy; a republished
-    artifact is reloaded and swapped into the cache while requests
-    still scoring with the previous object run to completion on it
-    (the old model stays alive as long as any request references it).
-
-    When a running :class:`~repro.serve.batcher.MicroBatcher` is
-    attached, classifier calls are routed through it so concurrent
-    requests coalesce into shared kernel batches; results are
-    bit-identical to inline scoring (see the batcher module docs).
+    Thread-safe for concurrent HTTP handler threads, each of which
+    scores its own request inline: the model LRU cache is guarded by a
+    lock (lookups, recency updates, inserts and evictions are all
+    serialized); scoring itself only reads shared arrays.  Artifact
+    loads happen *outside* the lock so a cold model never stalls
+    requests already holding a loaded one.  The cache is keyed by model
+    id, which is safe because the registry never rewrites an id.
     """
 
-    def __init__(
-        self,
-        registry: ModelRegistry,
-        default_threshold: float = DEFAULT_THRESHOLD,
-        cache_size: int = 4,
-        batcher: MicroBatcher | None = None,
-    ) -> None:
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
+    def __init__(self, registry: ModelRegistry) -> None:
         self.registry = registry
-        self.default_threshold = default_threshold
-        self.batcher = batcher
         self._cache: OrderedDict[str, _LoadedModel] = OrderedDict()
-        self._cache_size = cache_size
         self._cache_lock = threading.Lock()
-
-    def close(self) -> None:
-        """Release serving resources (stops the attached batcher)."""
-        if self.batcher is not None:
-            self.batcher.close()
 
     # -- model resolution ----------------------------------------------
 
     def _load(self, model_id: str | None) -> _LoadedModel:
-        """Resolve + load a model, via the locked, hot-reloading LRU."""
+        """Resolve + load a model through the locked LRU."""
         entry = self.registry.resolve(model_id)
         with self._cache_lock:
             cached = self._cache.get(entry.model_id)
-            if (
-                cached is not None
-                and cached.manifest_mtime_ns == entry.manifest_mtime_ns
-            ):
+            if cached is not None:
                 self._cache.move_to_end(entry.model_id)
                 return cached
-            stale = cached is not None
         # Load outside the lock: artifact IO and deserialization are the
         # slow path and must not block requests hitting warm entries.
         _entry, artifact = self.registry.load(entry.model_id)
-        loaded = _LoadedModel(
-            entry=entry,
-            trained=restore_trained_attack(artifact),
-            manifest_mtime_ns=entry.manifest_mtime_ns,
-        )
-        if stale:
-            counter("serving_model_reloads").inc()
+        loaded = _LoadedModel(entry=entry, trained=restore_trained_attack(artifact))
         with self._cache_lock:
             racing = self._cache.get(entry.model_id)
-            if (
-                racing is not None
-                and racing.manifest_mtime_ns == entry.manifest_mtime_ns
-            ):
+            if racing is not None:
                 # Another thread loaded the same artifact first; keep one
                 # copy so concurrent requests share arrays.
                 self._cache.move_to_end(entry.model_id)
                 return racing
             self._cache[entry.model_id] = loaded
-            self._cache.move_to_end(entry.model_id)
-            while len(self._cache) > self._cache_size:
+            while len(self._cache) > MODEL_CACHE_SIZE:
                 self._cache.popitem(last=False)
         return loaded
 
@@ -232,34 +168,6 @@ class AttackService:
         return [entry.describe() for entry in self.registry.list()]
 
     # -- scoring --------------------------------------------------------
-
-    def _scoring_attack(self, loaded: _LoadedModel) -> TrainedAttack:
-        """The trained attack to score with, batcher-wrapped when active."""
-        batcher = self.batcher
-        if batcher is None or not batcher.running:
-            return loaded.trained
-        return replace(
-            loaded.trained,
-            model=_BatchedModel(
-                batcher, loaded.entry.model_id, loaded.trained.model
-            ),
-        )
-
-    def score_view(
-        self,
-        view: SplitView,
-        model_id: str | None = None,
-        top_k: int | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> AttackResult:
-        """Score a split view in-process, returning the raw result."""
-        loaded = self._load(model_id)
-        trained = self._scoring_attack(loaded)
-        if top_k is not None:
-            return evaluate_attack_topk(
-                trained, view, k=top_k, chunk_size=chunk_size
-            )
-        return evaluate_attack(trained, view, chunk_size=chunk_size)
 
     def predict(
         self,
@@ -291,15 +199,14 @@ class AttackService:
         started = time.perf_counter()
         view = challenge_from_dicts(public)
         loaded = self._load(model_id)
-        trained = self._scoring_attack(loaded)
         if top_k is not None:
             result = evaluate_attack_topk(
-                trained, view, k=top_k, chunk_size=chunk_size
+                loaded.trained, view, k=top_k, chunk_size=chunk_size
             )
         else:
-            result = evaluate_attack(trained, view, chunk_size=chunk_size)
+            result = evaluate_attack(loaded.trained, view, chunk_size=chunk_size)
         if threshold is None:
-            threshold = self.default_threshold
+            threshold = DEFAULT_THRESHOLD
         if top_k is None:
             keep = result.prob >= threshold
             pair_i = result.pair_i[keep]

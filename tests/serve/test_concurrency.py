@@ -1,26 +1,22 @@
-"""Concurrent-serving correctness: cache races, hot reload, byte-identity.
+"""Concurrent-serving correctness: cache races, versions, byte-identity.
 
 The serving layer's contract under ``ThreadingHTTPServer`` is that any
 number of handler threads may score simultaneously and each response is
-byte-identical to what a serial, unbatched call would have produced.
-These tests hammer the model LRU from many threads (the PR-7 race
-regression), exercise manifest-mtime hot reload, and byte-compare
-concurrent HTTP responses -- with and without micro-batching -- against
-the serial path.
+byte-identical to what a serial call would have produced.  These tests
+hammer the model LRU from many threads (the model-cache race
+regression), check that a newly saved version is served by name, and
+byte-compare concurrent HTTP responses against the serial path.
 """
 
 import json
-import os
 import threading
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.attack.config import CONFIGS_BY_NAME
-from repro.obs import get_registry
-from repro.serve.batcher import MicroBatcher
+from repro.serve import service as service_module
 from repro.serve.http import make_server
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import AttackService, train_model
@@ -46,7 +42,7 @@ def canonical(body: bytes) -> bytes:
 
     ``time_s`` is the only nondeterministic field in a prediction
     document; everything else must be byte-stable across serial,
-    concurrent, and batched serving.
+    and concurrent serving.
     """
     document = json.loads(body)
     assert "time_s" in document
@@ -75,11 +71,14 @@ class TestCacheRace:
     N_THREADS = 12
     N_ITERATIONS = 30
 
-    def test_hammering_load_with_cache_size_1(self, artifact, tmp_path):
+    def test_hammering_load_with_cache_size_1(
+        self, artifact, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "MODEL_CACHE_SIZE", 1)
         registry = ModelRegistry(tmp_path)
         for _ in range(3):
             registry.save(artifact, name="m")
-        service = AttackService(registry, cache_size=1)
+        service = AttackService(registry)
         model_ids = ["m-v0001", "m-v0002", "m-v0003"]
         errors: list[BaseException] = []
         bound_violations: list[int] = []
@@ -133,51 +132,26 @@ class TestCacheRace:
         assert service._load("m-v0001") is cached
 
 
-class TestHotReload:
-    def test_republished_artifact_is_reloaded(self, artifact, tmp_path):
-        registry = ModelRegistry(tmp_path)
-        entry = registry.save(artifact, name="m")
-        service = AttackService(registry)
-        get_registry().reset()
-        first = service._load("m-v0001")
-        assert service._load("m-v0001") is first  # warm, unchanged
-
-        # Republish the same model id with a strictly newer mtime (some
-        # filesystems have coarse timestamps; force the bump).
-        artifact.save(tmp_path / "m-v0001")
-        stat = entry.manifest_path.stat()
-        os.utime(
-            entry.manifest_path,
-            ns=(stat.st_atime_ns + 10**9, stat.st_mtime_ns + 10**9),
-        )
-        second = service._load("m-v0001")
-        assert second is not first
-        counters = get_registry().snapshot()["counters"]
-        assert counters["serving_model_reloads"] == 1
-        # In-flight requests holding the old object keep a working model.
-        assert first.trained.model.predict_proba is not None
-        # The reloaded model is now the stable cached copy.
-        assert service._load("m-v0001") is second
-
-    def test_new_version_does_not_count_as_reload(self, artifact, tmp_path):
+class TestVersions:
+    def test_new_version_is_served_by_name(self, artifact, tmp_path):
         registry = ModelRegistry(tmp_path)
         registry.save(artifact, name="m")
         service = AttackService(registry)
-        get_registry().reset()
         first = service._load("m")
         registry.save(artifact, name="m")  # m-v0002; name now resolves to it
         second = service._load("m")
         assert first.entry.model_id == "m-v0001"
         assert second.entry.model_id == "m-v0002"
-        counters = get_registry().snapshot()["counters"]
-        assert "serving_model_reloads" not in counters
+        assert second is not first
+        # The old version stays cached and servable by its exact id.
+        assert service._load("m-v0001") is first
 
 
 class ServerHarness:
-    """An in-process server over the shared registry, batched or not."""
+    """An in-process server over the shared registry."""
 
-    def __init__(self, registry, batcher: MicroBatcher | None = None) -> None:
-        self.service = AttackService(registry, batcher=batcher)
+    def __init__(self, registry) -> None:
+        self.service = AttackService(registry)
         self.server = make_server(self.service, port=0)
         self.thread = threading.Thread(
             target=self.server.serve_forever, daemon=True
@@ -187,7 +161,6 @@ class ServerHarness:
     def close(self) -> None:
         self.server.shutdown()
         self.server.server_close()
-        self.service.close()
         self.thread.join(timeout=10)
 
 
@@ -198,7 +171,7 @@ def challenges(views6):
 
 @pytest.fixture(scope="module")
 def serial_bodies(registry, challenges):
-    """Reference bodies: one unbatched server, strictly one at a time."""
+    """Reference bodies: one server, strictly one request at a time."""
     harness = ServerHarness(registry)
     try:
         bodies = []
@@ -211,18 +184,10 @@ def serial_bodies(registry, challenges):
         harness.close()
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
-def test_concurrent_responses_match_serial_path(
-    registry, challenges, serial_bodies, batched
-):
+def test_concurrent_responses_match_serial_path(registry, challenges, serial_bodies):
     """N concurrent clients each get the exact serial-path response."""
     n_clients = 9  # 3 waves over the 3 distinct challenges
-    batcher = (
-        MicroBatcher(window=0.01, max_items=n_clients).start()
-        if batched
-        else None
-    )
-    harness = ServerHarness(registry, batcher=batcher)
+    harness = ServerHarness(registry)
     failures: list[str] = []
     start = threading.Barrier(n_clients)
 
@@ -248,38 +213,3 @@ def test_concurrent_responses_match_serial_path(
     finally:
         harness.close()
     assert not failures, failures
-
-
-def test_batched_server_exposes_serving_metrics(registry, challenges):
-    """After concurrent batched traffic, /metrics shows the batcher."""
-    get_registry().reset()
-    batcher = MicroBatcher(window=0.01).start()
-    harness = ServerHarness(registry, batcher=batcher)
-    try:
-        start = threading.Barrier(6)
-
-        def client(index: int) -> None:
-            start.wait()
-            status, _ = post_predict(
-                harness.server,
-                {"challenge": challenges[index % len(challenges)]},
-            )
-            assert status == 200
-
-        threads = [
-            threading.Thread(target=client, args=(k,)) for k in range(6)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
-        host, port = harness.server.server_address[:2]
-        with urllib.request.urlopen(
-            f"http://{host}:{port}/metrics", timeout=30
-        ) as response:
-            snapshot = json.load(response)
-    finally:
-        harness.close()
-    assert snapshot["histograms"]["serving_batch_size"]["count"] >= 1
-    assert snapshot["histograms"]["serving_batch_wait_seconds"]["count"] >= 6
-    assert snapshot["histograms"]["serving_queue_depth"]["count"] >= 1

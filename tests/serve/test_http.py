@@ -306,42 +306,6 @@ class TestStalledClients:
         assert _get(stall_server, "/health")[0] == 200
 
 
-class TestWorkerPool:
-    """``workers=N`` serves correct responses from a bounded pool."""
-
-    def test_pooled_server_handles_concurrent_clients(self, registry, views6):
-        service = AttackService(registry)
-        instance = make_server(service, port=0, workers=3)
-        thread = threading.Thread(target=instance.serve_forever, daemon=True)
-        thread.start()
-        try:
-            payload = {"challenge": challenge_to_dict(views6[0])}
-            results = []
-            start = threading.Barrier(8)
-
-            def client():
-                start.wait()
-                results.append(_get(instance, "/health")[0])
-                results.append(_post(instance, "/predict", payload)[0])
-
-            clients = [threading.Thread(target=client) for _ in range(8)]
-            for c in clients:
-                c.start()
-            for c in clients:
-                c.join(timeout=120)
-            assert results.count(200) == 16
-        finally:
-            instance.shutdown()
-            instance.server_close()
-            thread.join(timeout=5)
-        # server_close drained and joined the pool threads.
-        assert all(not worker.is_alive() for worker in instance._workers)
-
-    def test_worker_count_validation(self, registry):
-        with pytest.raises(ValueError, match="workers"):
-            make_server(AttackService(registry), port=0, workers=-1)
-
-
 class TestObservability:
     """``GET /metrics`` and the structured access log."""
 

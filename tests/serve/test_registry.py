@@ -93,3 +93,33 @@ class TestLoad:
         (tmp_path / "junk-v0001.json").write_text("{broken")
         (tmp_path / "noversion.json").write_text("{}")
         assert [e.model_id for e in registry.list()] == ["m-v0001"]
+
+
+class TestWriteOnce:
+    def test_stale_latest_never_overwrites_an_id(self, tmp_path, monkeypatch):
+        """Two saves that both see an empty name get distinct versions."""
+        registry = ModelRegistry(tmp_path)
+        first = registry.save(_artifact(0), name="m")
+        payload = (tmp_path / "m-v0001.npz").read_bytes()
+        manifest = (tmp_path / "m-v0001.json").read_bytes()
+        # A concurrent saver scanned before the first save landed.
+        monkeypatch.setattr(registry, "latest", lambda name=None: None)
+        second = registry.save(_artifact(1), name="m")
+        assert first.model_id == "m-v0001"
+        assert second.model_id == "m-v0002"
+        assert (tmp_path / "m-v0001.npz").read_bytes() == payload
+        assert (tmp_path / "m-v0001.json").read_bytes() == manifest
+        # Each manifest was published by a rename; no temp file is left.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m-v0001.json",
+            "m-v0001.npz",
+            "m-v0002.json",
+            "m-v0002.npz",
+        ]
+
+    def test_empty_claim_is_skipped_by_scans(self, tmp_path):
+        """A claimed id whose manifest is not yet published is invisible."""
+        registry = ModelRegistry(tmp_path)
+        (tmp_path / "m-v0001.json").touch()
+        assert registry.list() == []
+        assert registry.save(_artifact(0), name="m").model_id == "m-v0002"

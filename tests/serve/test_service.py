@@ -6,6 +6,7 @@ import pytest
 from repro.attack.config import CONFIGS_BY_NAME
 from repro.attack.framework import evaluate_attack, train_attack
 from repro.serve.artifacts import ArtifactError, ModelArtifact
+from repro.serve import service as service_module
 from repro.serve.registry import ModelNotFoundError, ModelRegistry
 from repro.serve.service import (
     AttackService,
@@ -120,31 +121,6 @@ class TestPredict:
         with pytest.raises(TypeError, match="model"):
             service.predict(public, model_id=123)
 
-    def test_batched_predictions_identical_to_inline(
-        self, artifact, tmp_path, views6
-    ):
-        from repro.serve.batcher import MicroBatcher
-
-        registry = ModelRegistry(tmp_path)
-        registry.save(artifact, name="m")
-        plain = AttackService(registry)
-        batched = AttackService(
-            registry, batcher=MicroBatcher(window=0.0).start()
-        )
-        public = challenge_to_dict(views6[0])
-        try:
-            inline = plain.predict(public)
-            through_batcher = batched.predict(public)
-            topk_inline = plain.predict(public, top_k=2)
-            topk_batched = batched.predict(public, top_k=2)
-        finally:
-            batched.close()
-        for a, b in ((inline, through_batcher), (topk_inline, topk_batched)):
-            a, b = dict(a), dict(b)
-            a.pop("time_s")
-            b.pop("time_s")
-            assert a == b
-
     def test_models_listing_and_cache(self, service, views6):
         listing = service.models()
         assert [m["model_id"] for m in listing] == ["imp-11-v0001"]
@@ -154,14 +130,13 @@ class TestPredict:
         service.predict(public)
         assert service._cache["imp-11-v0001"] is first  # reused, not reloaded
 
-    def test_cache_eviction(self, artifact, tmp_path):
+    def test_cache_eviction(self, artifact, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "MODEL_CACHE_SIZE", 2)
         registry = ModelRegistry(tmp_path)
         for _ in range(3):
             registry.save(artifact, name="m")
-        service = AttackService(registry, cache_size=2)
+        service = AttackService(registry)
         for version in (1, 2, 3):
             service._load(f"m-v{version:04d}")
         assert len(service._cache) == 2
         assert "m-v0001" not in service._cache
-        with pytest.raises(ValueError):
-            AttackService(registry, cache_size=0)

@@ -1,10 +1,23 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+from repro.attack.config import CONFIGS_BY_NAME
 from repro.cli import build_parser, main
+from repro.serve.registry import ModelRegistry
+from repro.serve.service import AttackService, train_model
+from repro.splitmfg.challenge import challenge_to_dict
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -27,6 +40,10 @@ class TestParser:
         assert args.registry == "models"
         assert args.port == 8787
         assert args.quiet is True
+        for removed in (["--workers", "4"], ["--batch-window", "0.002"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["serve", *removed])
+            assert excinfo.value.code == 2
 
     def test_train_model_and_predict_defaults(self):
         args = build_parser().parse_args(["train-model"])
@@ -500,3 +517,39 @@ class TestCommands:
         )
         assert rc == 3
         assert "RSS BUDGET EXCEEDED" in capsys.readouterr().err
+
+
+def test_serve_process_answers_like_the_service(views6, tmp_path):
+    """``repro serve`` scores a challenge exactly like the in-process
+    service, then exits cleanly on SIGINT."""
+    registry = ModelRegistry(tmp_path / "models")
+    registry.save(train_model(CONFIGS_BY_NAME["Imp-7"], views6[:1], seed=0), name="m")
+    challenge = challenge_to_dict(views6[0])
+    expected = AttackService(registry).predict(challenge, top_k=3)
+    expected.pop("time_s")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro", "serve",
+            "--registry", str(registry.root), "--port", "0", "--quiet",
+        ],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        match = re.search(r"on http://([\d.]+):(\d+)", proc.stdout.readline())
+        assert match, "server did not announce its address"
+        request = urllib.request.Request(
+            f"http://{match.group(1)}:{match.group(2)}/predict",
+            data=json.dumps({"challenge": challenge, "top_k": 3}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=120) as response:
+            served = json.load(response)
+    finally:
+        proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=30)
+    assert proc.returncode == 0, stderr
+    served.pop("time_s")
+    assert served == expected
