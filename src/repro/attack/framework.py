@@ -4,7 +4,8 @@ Implements the paper's Fig. 1 pipeline around a trained classifier:
 
 * :func:`train_attack` -- build the balanced training set from the
   training views (with the Imp neighborhood and/or the "Y" limit when the
-  configuration asks for them) and fit the Bagging classifier;
+  configuration asks for them) and fit the Bagging classifier, or
+  restore the identical fitted model from the feature cache;
 * :func:`score_candidates` -- the one candidate -> featurize -> predict
   stream: enumerate candidate pairs of a test view (all legal pairs for
   ``ML``, neighborhood pairs for ``Imp``) and classify them in
@@ -16,13 +17,14 @@ Implements the paper's Fig. 1 pipeline around a trained classifier:
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from ..ml.backends import ClassifierBackend, create_backend
+from ..ml.backends import ClassifierBackend, create_backend, get_backend
 from ..obs.logging import get_logger
 from ..obs.metrics import counter
 from ..obs.trace import span
@@ -135,6 +137,53 @@ def _training_set_key(
     )
 
 
+def _model_key(config: AttackConfig, training_set_key: str) -> str:
+    """Cache key for the fitted model: its training set plus every
+    configuration field (backend, its parameters, ensemble knobs)."""
+    return hash_key(
+        "trained-model",
+        training_set_key,
+        [(f.name, getattr(config, f.name)) for f in fields(config)],
+    )
+
+
+def _store_model(
+    cache: FeatureCache,
+    key: str,
+    backend: ClassifierBackend,
+    train_time: float,
+    n_samples: int,
+) -> None:
+    """Store a fitted backend's exact inference state (if it has one)."""
+    try:
+        arrays, params = backend.to_state()
+    except NotImplementedError:
+        return
+    entry = {f"state.{name}": array for name, array in arrays.items()}
+    entry["params"] = np.array(json.dumps(params, sort_keys=True))
+    entry["train_time"] = np.array(train_time, dtype=np.float64)
+    entry["n_training_samples"] = np.array(n_samples, dtype=np.int64)
+    cache.put(key, entry)
+
+
+def _restore_model(
+    config: AttackConfig, stored: dict[str, np.ndarray]
+) -> tuple[Any, float, int]:
+    """``(model, train_time, n_training_samples)`` of a stored model."""
+    arrays = {
+        name.removeprefix("state."): array
+        for name, array in stored.items()
+        if name.startswith("state.")
+    }
+    params = json.loads(str(stored["params"]))
+    backend = get_backend(config.backend).from_state(arrays, params)
+    return (
+        backend.model_,
+        float(stored["train_time"]),
+        int(stored["n_training_samples"]),
+    )
+
+
 def train_attack(
     config: AttackConfig,
     training_views: list[SplitView],
@@ -148,6 +197,12 @@ def train_attack(
     children of ``seed`` (``SeedSequence.spawn``): the fitted model is
     identical whether the training matrices were rebuilt or restored
     from ``cache`` (the process default cache when ``None``).
+
+    With a cache, the fitted model itself is an entry too: a repeat of
+    the same (code, configuration, training views, seed, ``allowed``)
+    restores it through its backend's ``from_state`` -- bit-identical
+    predictions -- and reports the ``train_time`` the original fit
+    measured, so runtime columns keep meaning "time to train".
     """
     if not training_views:
         raise ValueError("need at least one training view")
@@ -163,12 +218,27 @@ def train_attack(
             else None
         )
         key: str | None = None
+        model_key: str | None = None
+        if cache is not None:
+            key = _training_set_key(
+                config, training_views, fraction, axis, seed, allowed
+            )
+            model_key = _model_key(config, key)
+            stored = cache.get(model_key)
+            if stored is not None:
+                model, train_time, n_samples = _restore_model(config, stored)
+                outer.set(model="cache", n_samples=n_samples)
+                return TrainedAttack(
+                    config=config,
+                    model=model,
+                    neighborhood=fraction,
+                    limit_axis=axis,
+                    train_time=train_time,
+                    n_training_samples=n_samples,
+                )
         training_set: TrainingSet | None = None
         with span("build_training_set") as build:
-            if cache is not None:
-                key = _training_set_key(
-                    config, training_views, fraction, axis, seed, allowed
-                )
+            if key is not None:
                 stored = cache.get(key)
                 if stored is not None:
                     training_set = TrainingSet(
@@ -187,7 +257,7 @@ def train_attack(
                     allowed=allowed,
                 )
                 counter("pairs_featurized").inc(training_set.n_samples)
-                if cache is not None and key is not None:
+                if key is not None:
                     cache.put(key, {"X": training_set.X, "y": training_set.y})
             build.set(source=source, n_samples=training_set.n_samples)
         with span(
@@ -196,9 +266,15 @@ def train_attack(
             model_seed = int(
                 np.random.default_rng(model_sequence).integers(2**63)
             )
-            model = make_classifier(config, seed=model_seed)
+            backend = make_backend(config)
+            model = backend.model_ = backend.build(model_seed)
             model.fit(training_set.X, training_set.y)
-        outer.set(n_samples=training_set.n_samples)
+        train_time = time.perf_counter() - start
+        if model_key is not None:
+            _store_model(
+                cache, model_key, backend, train_time, training_set.n_samples
+            )
+        outer.set(model="fitted", n_samples=training_set.n_samples)
         logger.debug(
             "trained %s",
             config.name,
@@ -213,7 +289,7 @@ def train_attack(
         model=model,
         neighborhood=fraction,
         limit_axis=axis,
-        train_time=time.perf_counter() - start,
+        train_time=train_time,
         n_training_samples=training_set.n_samples,
     )
 

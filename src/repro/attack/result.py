@@ -37,6 +37,9 @@ class AttackResult:
     n_pairs_evaluated: int = 0
     _cover_p: np.ndarray | None = field(default=None, repr=False)
     _is_match: np.ndarray | None = field(default=None, repr=False)
+    _groups: list[tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not (len(self.pair_i) == len(self.pair_j) == len(self.prob)):
@@ -191,18 +194,31 @@ class AttackResult:
     # ------------------------------------------------------------------
 
     def per_vpin_candidates(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """For each v-pin, its (partner ids, pair probabilities)."""
-        partners: list[list[int]] = [[] for _ in range(self.n_vpins)]
-        probs: list[list[float]] = [[] for _ in range(self.n_vpins)]
-        for i, j, p in zip(self.pair_i, self.pair_j, self.prob):
-            partners[i].append(int(j))
-            probs[i].append(float(p))
-            partners[j].append(int(i))
-            probs[j].append(float(p))
-        return [
-            (np.array(ps, dtype=int), np.array(pp))
-            for ps, pp in zip(partners, probs)
-        ]
+        """For each v-pin, its (partner ids, pair probabilities).
+
+        Partners appear in pair order (a pair ``(v, v)`` lists ``v``
+        twice); the proximity attack's top-K boundary and tie-breaks
+        depend on that order.  Built once per result with one stable
+        sort over the interleaved owners ``(i0, j0, i1, j1, ...)``; the
+        arrays are read-only views shared by every caller.
+        """
+        if self._groups is None:
+            owners = np.column_stack([self.pair_i, self.pair_j]).ravel()
+            partners = np.column_stack([self.pair_j, self.pair_i]).ravel()
+            order = np.argsort(owners, kind="stable")
+            partners = partners[order].astype(int)
+            probs = np.repeat(np.asarray(self.prob, np.float64), 2)[order]
+            partners.flags.writeable = False
+            probs.flags.writeable = False
+            counts = np.bincount(
+                owners.astype(np.int64), minlength=self.n_vpins
+            )
+            bounds = [0, *np.cumsum(counts).tolist()]
+            self._groups = [
+                (partners[lo:hi], probs[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+        return self._groups
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ attack pipeline runs, as opposed to *what* it computes:
   only on ``(root seed, fold index)``, never on execution order, which
   is what makes ``--jobs N`` bit-identical to ``--jobs 1``;
 * :mod:`repro.runtime.cache` -- :class:`FeatureCache` memoizes
-  featurized training/candidate matrices on disk, keyed by a content
-  hash of (design, split layer, feature set, neighborhood, alignment,
-  seed) plus a fingerprint of the featurization code, so stale entries
-  self-invalidate when the feature definitions change.
+  featurized training/candidate matrices and fitted models on disk,
+  keyed by a content hash of (design, split layer, feature set,
+  neighborhood, alignment, seed) plus a fingerprint of the featurization
+  and classifier code, so stale entries self-invalidate when that code
+  changes.
 """
 
 from .cache import (

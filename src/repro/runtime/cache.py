@@ -1,18 +1,20 @@
-"""On-disk memoization of featurized matrices.
+"""On-disk memoization of featurized matrices and fitted models.
 
-Training-set assembly and candidate featurization dominate experiment
-wall time after the suite itself is built, and the very same matrices
-are recomputed by every table/figure that shares a (design, split layer,
-feature set, neighborhood, alignment, seed) combination -- within one
-``run_all`` invocation and across invocations.  :class:`FeatureCache`
-stores them as ``.npz`` files keyed by a content hash of all of those
-inputs *plus* a fingerprint of the featurization/sampling source code,
-so a code change silently invalidates every stale entry.
+Training-set assembly, candidate featurization and model fitting
+dominate experiment wall time after the suite itself is built, and the
+very same matrices and models are recomputed by every table/figure that
+shares a (design, split layer, feature set, neighborhood, alignment,
+seed) combination -- within one ``run_all`` invocation and across
+invocations.  :class:`FeatureCache` stores them as ``.npz`` files keyed
+by a content hash of all of those inputs *plus* a fingerprint of the
+featurization, sampling and classifier source code, so a code change
+silently invalidates every stale entry.
 
 Writes go through a temp file + ``os.replace`` so concurrent pool
 workers (or concurrent CLI runs) can never observe a half-written
-entry; two workers racing on the same key write identical bytes, so
-last-write-wins is harmless.
+entry; two workers racing on the same key write the same arrays (a
+fitted-model entry differs only in the fit time it records, and either
+is a true measurement), so last-write-wins is harmless.
 
 The cache directory defaults to ``~/.cache/repro-splitmfg/features``
 and is overridden by the ``REPRO_CACHE_DIR`` environment variable or
@@ -91,17 +93,29 @@ _fingerprint: str | None = None
 
 
 def code_fingerprint() -> str:
-    """Digest of the sources that determine cached matrix contents.
+    """Digest of the sources that determine cached entry contents.
 
-    Covers pair featurization, sample generation, the tree-training
-    engine, and the classifier-backend layer (cache hits skip straight
-    to model fitting, so fit-path and backend edits must also
+    Covers pair featurization, sample generation, every classifier a
+    cached model may hold (the tree-training engine, the ensembles, the
+    alternative classifiers) and the backend layer with the tree-state
+    packing behind ``to_state`` (cache hits skip straight to model
+    fitting, or past it, so fit-path and serialization edits must also
     invalidate); any edit to these modules changes every cache key,
     which is the invalidation story.
     """
     global _fingerprint
     if _fingerprint is None:
-        from ..ml import backends, fit_engine, mlp, tree
+        from ..ml import (
+            backends,
+            bagging,
+            fit_engine,
+            forest,
+            knn,
+            logistic,
+            mlp,
+            tree,
+        )
+        from ..serve import artifacts
         from ..splitmfg import featurize_engine, pair_features, sampling
 
         digest = hashlib.sha256()
@@ -111,8 +125,13 @@ def code_fingerprint() -> str:
             sampling,
             tree,
             fit_engine,
-            backends,
+            bagging,
+            forest,
+            knn,
+            logistic,
             mlp,
+            backends,
+            artifacts,
         ):
             digest.update(inspect.getsource(module).encode())
         _fingerprint = digest.hexdigest()[:16]

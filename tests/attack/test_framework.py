@@ -11,6 +11,9 @@ from repro.attack.framework import (
     run_loo,
     train_attack,
 )
+from repro.ml import backends
+from repro.ml.bagging import Bagging
+from repro.runtime import FeatureCache
 from repro.splitmfg.pair_features import legal_pair_mask
 
 
@@ -50,6 +53,133 @@ class TestTrainAttack:
     def test_needs_views(self):
         with pytest.raises(ValueError):
             train_attack(ML_9, [], seed=0)
+
+
+#: One configuration per registered backend (the bagging one twice:
+#: REPTree and RandomTree bases), kept small so each fit is quick.
+MODEL_CONFIGS = [
+    IMP_9,
+    AttackConfig(name="Imp-9-rt", scalable=True, base_classifier="randomtree"),
+    IMP_9.with_backend("randomforest", n_estimators=5),
+    IMP_9.with_backend("knn"),
+    IMP_9.with_backend("logistic"),
+    IMP_9.with_backend("mlp", hidden_layers=(8,), max_epochs=5, batch_size=64),
+]
+
+
+def _probe_matrix(config):
+    return np.random.default_rng(0).normal(0.0, 50.0, (300, len(config.features)))
+
+
+def _model_entries(cache):
+    """Cache entries holding a fitted model (they carry ``params``)."""
+    paths = []
+    for path in cache.entries():
+        with np.load(path) as data:
+            if "params" in data.files:
+                paths.append(path)
+    return paths
+
+
+class _StatelessBackend(backends.ClassifierBackend):
+    """A backend without ``to_state`` (the base class raises)."""
+
+    name = "stateless"
+
+    def build(self, seed=0):
+        return Bagging(n_estimators=2, seed=seed)
+
+    def get_params(self):
+        return {}
+
+
+class TestModelCache:
+    """Fitted models are feature-cache entries, restored bit-identically."""
+
+    @pytest.mark.parametrize("config", MODEL_CONFIGS, ids=lambda c: c.name)
+    def test_warm_equals_cold(self, views8, tmp_path, config):
+        cache = FeatureCache(tmp_path)
+        cold = train_attack(config, views8[1:], seed=4, cache=cache)
+        assert len(_model_entries(cache)) == 1
+        warm = train_attack(config, views8[1:], seed=4, cache=cache)
+        assert type(warm.model) is type(cold.model)
+        X = _probe_matrix(config)
+        np.testing.assert_array_equal(
+            warm.model.predict_proba(X), cold.model.predict_proba(X)
+        )
+        assert warm.n_training_samples == cold.n_training_samples
+        assert warm.train_time == cold.train_time
+        assert (warm.neighborhood, warm.limit_axis) == (
+            cold.neighborhood,
+            cold.limit_axis,
+        )
+
+    def test_key_covers_seed_and_config(self, views8, tmp_path):
+        cache = FeatureCache(tmp_path)
+        train_attack(IMP_9, views8[1:], seed=4, cache=cache)
+        train_attack(IMP_9, views8[1:], seed=5, cache=cache)
+        train_attack(
+            IMP_9.with_backend("bagging", n_estimators=3),
+            views8[1:],
+            seed=4,
+            cache=cache,
+        )
+        assert len(_model_entries(cache)) == 3
+
+    def test_no_cache_fits_every_time(self, views8, monkeypatch):
+        fits = []
+        fit = Bagging.fit
+        monkeypatch.setattr(
+            Bagging, "fit", lambda self, X, y: fits.append(1) or fit(self, X, y)
+        )
+        first = train_attack(IMP_9, views8[1:], seed=4)
+        second = train_attack(IMP_9, views8[1:], seed=4)
+        assert len(fits) == 2
+        X = _probe_matrix(IMP_9)
+        np.testing.assert_array_equal(
+            first.model.predict_proba(X), second.model.predict_proba(X)
+        )
+
+    def test_backend_without_state_stores_nothing(
+        self, views8, tmp_path, monkeypatch
+    ):
+        monkeypatch.setitem(backends._REGISTRY, "stateless", _StatelessBackend)
+        config = IMP_9.with_backend("stateless")
+        cache = FeatureCache(tmp_path)
+        fits = []
+        fit = Bagging.fit
+        monkeypatch.setattr(
+            Bagging, "fit", lambda self, X, y: fits.append(1) or fit(self, X, y)
+        )
+        first = train_attack(config, views8[1:], seed=4, cache=cache)
+        second = train_attack(config, views8[1:], seed=4, cache=cache)
+        assert len(fits) == 2
+        assert _model_entries(cache) == []
+        X = _probe_matrix(config)
+        np.testing.assert_array_equal(
+            first.model.predict_proba(X), second.model.predict_proba(X)
+        )
+
+    @pytest.mark.parametrize("damage", ["torn", "garbled"])
+    def test_damaged_entry_is_quarantined_and_refit(
+        self, views8, tmp_path, damage
+    ):
+        cache = FeatureCache(tmp_path)
+        cold = train_attack(IMP_9, views8[1:], seed=4, cache=cache)
+        (path,) = _model_entries(cache)
+        data = path.read_bytes()
+        if damage == "torn":
+            path.write_bytes(data[: len(data) // 2])
+        else:
+            path.write_bytes(data[:100] + bytes(len(data) - 200) + data[-100:])
+        refit = train_attack(IMP_9, views8[1:], seed=4, cache=cache)
+        assert cache.corrupt_entries == 1
+        assert (tmp_path / "quarantine" / path.name).exists()
+        X = _probe_matrix(IMP_9)
+        np.testing.assert_array_equal(
+            refit.model.predict_proba(X), cold.model.predict_proba(X)
+        )
+        assert _model_entries(cache) == [path]
 
 
 class TestEvaluateAttack:
@@ -150,6 +280,26 @@ class TestObservability:
         counters = get_registry().snapshot()["counters"]
         assert counters["folds_completed"] == 3
         assert counters["candidates_scored"] > 0
+
+    def test_train_span_names_model_source(self, views8, tmp_path):
+        from repro.obs import drain_spans
+
+        cache = FeatureCache(tmp_path)
+        train_attack(IMP_9, views8[1:], seed=0, cache=cache)
+        train_attack(IMP_9, views8[1:], seed=0, cache=cache)
+        train_attack(IMP_9, views8[1:], seed=0)
+        fitted, restored, uncached = drain_spans()
+        assert [fitted["attrs"]["model"], restored["attrs"]["model"]] == [
+            "fitted",
+            "cache",
+        ]
+        assert uncached["attrs"]["model"] == "fitted"
+        assert {c["name"] for c in fitted["children"]} == {
+            "build_training_set",
+            "fit",
+        }
+        assert restored["children"] == []
+        assert restored["attrs"]["n_samples"] == fitted["attrs"]["n_samples"]
 
     def test_parallel_folds_counters_match_serial(self, views8):
         from repro.obs import drain_spans, get_registry, reset_tracing

@@ -56,6 +56,37 @@ class TestCodeFingerprint:
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 16
 
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.ml.bagging",
+            "repro.ml.forest",
+            "repro.ml.knn",
+            "repro.ml.logistic",
+            "repro.ml.tree",
+            "repro.ml.backends",
+            "repro.serve.artifacts",
+            "repro.splitmfg.sampling",
+        ],
+    )
+    def test_source_edit_changes_fingerprint(self, monkeypatch, module):
+        """Every module a cached matrix or model depends on is hashed."""
+        import importlib
+        import inspect
+
+        before = code_fingerprint()
+        edited = importlib.import_module(module)
+        getsource = inspect.getsource
+        monkeypatch.setattr(
+            inspect,
+            "getsource",
+            lambda obj: getsource(obj) + ("# edit\n" if obj is edited else ""),
+        )
+        monkeypatch.setattr(cache_module, "_fingerprint", None)
+        assert code_fingerprint() != before
+        monkeypatch.undo()
+        assert code_fingerprint() == before
+
 
 class TestViewContentHash:
     def test_stable_and_memoized(self, view8):
