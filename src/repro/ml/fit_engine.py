@@ -1,50 +1,65 @@
-"""Presorted tree-training engine: the fitting hot path.
+"""Tree-training engines: the fitting hot path.
 
 The straightforward tree grower (kept as the test oracle) re-sorts
 every candidate feature column at every node -- an
-``O(nodes x F x n log n)`` Python-level loop that dominates the runtime
-of every Bagging fit (and therefore every experiment: each LOO fold fits
-10 REPTrees).  This module replaces the per-node argsorts with a
-*presort-once* scheme:
+``O(nodes x F x n log n)`` Python-level loop.  Both engines here
+replace the per-node argsorts with a *presort-once* scheme: each feature
+column is stably argsorted exactly once, and every split stably
+partitions each feature's sorted index set by the split mask, so every
+node always sees its rows in the order the reference grower would have
+obtained from ``np.argsort(x, kind="stable")`` on its subset.
 
-* each feature column is stably argsorted exactly once at the root;
-* node partitions stably split the per-feature sorted index sets by the
-  chosen split mask (an ``O(F x n)`` scan), so every node always sees
-  its rows in the same order the reference grower would have obtained
-  from ``np.argsort(x, kind="stable")`` on its subset.
+Two engines fit a tree:
 
-Two split-search kernels run on top of the presorted orders:
-
-* a small C kernel, compiled on first use through
-  :func:`repro._ckernel.load`, which fuses the cumulative class counts,
-  candidate enumeration and split scoring into one pass per node;
-* a pure-NumPy scan (:func:`_search_numpy`) -- used when the kernel did
-  not load, and by the C path for nodes it declares uncertain.
+* **C** (:func:`fit_tree_kernel`): one ``repro_fit_tree`` call, compiled
+  on first use through :func:`repro._ckernel.load`, runs the whole
+  pipeline -- grow over one ``(F, n)`` order matrix (each node owns a
+  ``[start, start + m)`` segment of every row, partitioned in place with
+  one ``(n,)`` scratch buffer), route the pruning fold and prune
+  (REPTree), route every row for the leaf counts, and emit the pre-order
+  arrays of the frozen tree into buffers Python allocates once the
+  surviving node count is known.  Besides that allocation it calls
+  back into Python for two things only: a node's candidate features
+  when the tree samples them (RandomTree's ``rng.choice``, drawn in the
+  same node order as the NumPy engine, so the RNG stream is unchanged),
+  and the NumPy split search (:func:`_search_numpy`) for the nodes it
+  declares uncertain.  An exception raised inside a callback aborts the
+  kernel and is re-raised to the caller.
+* **NumPy** (:func:`grow_tree`, when the kernel did not load): the same
+  presorted grower as a Python node loop over :func:`_search_numpy`;
+  ``DecisionTreeBase`` then routes, prunes and freezes the ``_Node``
+  tree in Python.
 
 Bit-identity contract
 ---------------------
 
-Trees grown through this engine are **node-for-node identical** to the
-per-node-argsort reference grower kept as the test oracle
+Both engines produce trees **node-for-node identical** to the
+per-node-argsort reference pipeline kept as the test oracle
 (``tests/ml/tree_oracle.py``) -- same feature, threshold and class
 counts at every node, ties and duplicated feature values included -- so
-which kernel ran never moves a report byte.  The NumPy path achieves
+which engine ran never moves a report byte.  The NumPy engine achieves
 this by performing the exact same float64 operations on the exact same
-values in the same order.  The C kernel cannot call NumPy's
-``log`` (libm's ``log`` differs from it in the last ulp), so it scores
+values in the same order.  The C kernel cannot call NumPy's ``log``
+(libm's ``log`` differs from it in the last ulp), so it scores
 candidates on an order-equivalent integer-count statistic
 ``S = -(sum of k*ln(k) terms)`` built from a NumPy-precomputed
 ``k -> k*ln(k)`` table, and *selects* rather than scores: whenever the
 winning margin is within a guard band (``~1e-6`` nats of gain, orders
 of magnitude above both kernels' rounding error) -- or the winner sits
 within the band of the ``min_gain`` acceptance threshold -- the node is
-declared uncertain and re-searched with the NumPy scan.  Exact ties
-(mirrored or duplicated count partitions, the common case on real data)
-are recognised structurally and resolved first-wins, exactly like the
-reference's ``argmax``/strict-``>`` scan.
+declared uncertain and re-searched with the NumPy scan.  The parent
+entropy the kernel compares against comes from the same table; it only
+positions the band.  Exact ties (mirrored or duplicated count
+partitions, the common case on real data) are recognised structurally
+and resolved first-wins, exactly like the reference's
+``argmax``/strict-``>`` scan.  Class counts are exact integers held in
+float64 on both engines, and a node collapsed by pruning keeps its
+split's threshold with feature ``-1`` (a grown leaf has threshold
+``0.0``).
 
-Every fit counts ``tree_fits{engine=c|numpy}``, labelled with the kernel
-that actually ran.
+Every fit counts ``tree_fits{engine=c|numpy}`` -- one kernel call per
+tree on the C engine -- plus ``fit_split_nodes``; the C engine also
+counts its callback searches in ``fit_kernel_fallbacks``.
 """
 
 from __future__ import annotations
@@ -123,13 +138,29 @@ class _Node:
         self.right = None
 
 
-# -- compiled split-search kernel ---------------------------------------
+# -- compiled whole-tree kernel -----------------------------------------
 
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 #include <math.h>
 
-/* Split search over presorted per-feature index sets.
+/* Python callbacks.  draw() writes a node's candidate features into the
+ * shared feats buffer and returns their count; search() re-searches an
+ * uncertain node with the NumPy scan and returns 1 (split written to
+ * the shared result buffers) or 0 (no split); alloc(k) allocates the
+ * output arrays.  Each returns -1 when it raised; the kernel then
+ * aborts and Python re-raises. */
+typedef int32_t (*draw_fn)(void);
+typedef int32_t (*search_fn)(int64_t start, int64_t m, int32_t n_feat,
+                             double pos, double neg);
+typedef int32_t (*alloc_fn)(int64_t n_nodes);
+
+enum { ERR_CALLBACK = -1, ERR_FEATURE = -2, ERR_MEMORY = -3 };
+
+/* Split search over one node's segment [start, start + m) of the
+ * presorted (F, n) order matrix.
  *
  * Candidates are scored on S = -(sum of k*ln(k) terms), an affine
  * transform of the reference information gain with positive scale, via
@@ -143,17 +174,12 @@ _KERNEL_SOURCE = r"""
  *
  * Returns 1 = split found, 0 = no admissible split, -1 = uncertain.
  */
-int repro_fit_best_split(
-    const double *xcols,    /* (n_feat_total, n_total): presorted columns */
-    const double *y,        /* (n_total,) 0/1 labels */
-    int64_t n_total,
-    const int32_t *orders,  /* (n_feat_total, m): node rows, sorted per feature */
-    int64_t m,
+static int best_split(
+    const double *xcols, const double *y, int64_t n,
+    const int32_t *orders, int64_t start, int64_t m,
     const int32_t *feat, int32_t n_feat,
-    int64_t min_samples_leaf,
-    int64_t total_pos,      /* node positive count (exact) */
-    double parent_entropy, double min_gain,
-    const double *xlogx,    /* (n_total + 1,) */
+    int64_t min_samples_leaf, int64_t total_pos,
+    double parent_entropy, double min_gain, const double *xlogx,
     int32_t *out_feature, double *out_threshold)
 {
     double s_best = -INFINITY, s_second = -INFINITY;
@@ -166,8 +192,8 @@ int repro_fit_best_split(
 
     for (int32_t fi = 0; fi < n_feat; fi++) {
         const int64_t f = (int64_t)feat[fi];
-        const int32_t *ord = orders + f * m;
-        const double *x = xcols + f * n_total;
+        const int32_t *ord = orders + f * n + start;
+        const double *x = xcols + f * n;
         if (x[ord[0]] == x[ord[m - 1]]) continue;  /* constant feature */
         double cum = 0.0;
         for (int64_t i = 0; i + 1 < m; i++) {
@@ -209,56 +235,286 @@ int repro_fit_best_split(
     return 1;
 }
 
-/* Stable partition of every feature's sorted index set by the split
- * mask x_split[row] <= threshold -- the presort invariant: each child's
- * per-feature order is exactly the stable argsort of its subset. */
-void repro_fit_partition(
-    const double *xsplit,   /* (n_total,): column of the split feature */
-    double threshold,
-    const int32_t *orders,  /* (n_feat_total, m) */
-    int64_t m, int32_t n_feat_total,
-    int64_t m_left,
-    int32_t *left_out,      /* (n_feat_total, m_left) */
-    int32_t *right_out)     /* (n_feat_total, m - m_left) */
+/* The growing tree, struct-of-arrays, indexed by node id. */
+typedef struct {
+    int64_t cap;
+    int32_t *feature;   /* -1 at leaves */
+    double *threshold;  /* 0.0 at grown leaves */
+    int64_t *left;      /* left child id (right = left + 1), -1 at leaves */
+    int64_t *start, *size, *depth, *gpos;  /* order segment, grow counts */
+    int64_t *count, *cpos;  /* routed rows and positives */
+    int64_t *stack;
+} Tree;
+
+#define TREE_FIELDS(X) X(feature) X(threshold) X(left) X(start) X(size) \
+    X(depth) X(gpos) X(count) X(cpos) X(stack)
+
+static int tree_reserve(Tree *t, int64_t cap)
 {
-    const int64_t m_right = m - m_left;
-    for (int32_t f = 0; f < n_feat_total; f++) {
-        const int32_t *ord = orders + (int64_t)f * m;
-        int32_t *lo = left_out + (int64_t)f * m_left;
-        int32_t *ro = right_out + (int64_t)f * m_right;
-        int64_t li = 0, ri = 0;
-        for (int64_t i = 0; i < m; i++) {
-            const int32_t r = ord[i];
-            if (xsplit[r] <= threshold) lo[li++] = r;
-            else ro[ri++] = r;
+#define GROW(field) { \
+        void *p = realloc(t->field, cap * sizeof(*t->field)); \
+        if (!p) return 0; \
+        t->field = p; }
+    TREE_FIELDS(GROW)
+#undef GROW
+    t->cap = cap;
+    return 1;
+}
+
+static void tree_free(Tree *t)
+{
+#define FREE(field) free(t->field);
+    TREE_FIELDS(FREE)
+#undef FREE
+}
+
+/* Route rows [0, n_rows) -- or the listed ones -- down to a leaf,
+ * counting rows and positives at every node on the path. */
+static void route(
+    const Tree *t, int64_t n_nodes, const double *x_rows,
+    const double *y_rows, int32_t n_feat, const int64_t *rows, int64_t n_rows)
+{
+    memset(t->count, 0, n_nodes * sizeof(int64_t));
+    memset(t->cpos, 0, n_nodes * sizeof(int64_t));
+    for (int64_t j = 0; j < n_rows; j++) {
+        const int64_t r = rows ? rows[j] : j;
+        const double *x = x_rows + r * n_feat;
+        const int64_t label = (int64_t)y_rows[r];
+        int64_t node = 0;
+        for (;;) {
+            t->count[node]++;
+            t->cpos[node] += label;
+            if (t->left[node] < 0) break;
+            node = t->left[node]
+                 + (x[t->feature[node]] <= t->threshold[node] ? 0 : 1);
         }
     }
+}
+
+/* Grow, prune, count and emit one tree.
+ *
+ * Grows on the presorted columns (xcols, y, orders: the n grow rows),
+ * LIFO like the NumPy grower: a split node's children get the next two
+ * ids, left then right, and the right child is expanded first.  When
+ * fold is non-NULL, the fold rows of x_rows are routed through the
+ * grown tree and reduced-error pruning runs as one reverse sweep over
+ * node ids (a child's id always exceeds its parent's).  Every row of
+ * x_rows is then routed for the leaf counts, alloc(k) has Python
+ * allocate the output for the k surviving nodes -- a (3, k) int64 block
+ * (feature, left, right) and a (3, k) float64 block (threshold, pos,
+ * neg), their addresses written to out -- and the tree is written there
+ * in pre-order, left first.  stats receives {nodes, splits, fallbacks}.
+ *
+ * A split's midpoint threshold can round onto the upper value, so a
+ * child may be empty; node storage grows as needed.
+ *
+ * Returns the number of emitted nodes, or a negative ERR_* code.
+ */
+int64_t repro_fit_tree(
+    const double *xcols, const double *y, int64_t n, int32_t n_feat,
+    int32_t *orders, const double *xlogx,
+    int64_t max_depth, int64_t min_samples_leaf, double min_gain,
+    draw_fn draw, search_fn search, alloc_fn alloc, int32_t *feats,
+    const int32_t *result_feature, const double *result_threshold,
+    void *const *out,
+    const double *x_rows, const double *y_rows, int64_t n_rows,
+    const int64_t *fold, int64_t n_fold, int64_t *stats)
+{
+    int64_t status = ERR_MEMORY;
+    Tree t = {0};
+    int32_t *scratch = malloc((n > 0 ? n : 1) * sizeof(int32_t));
+    uint8_t *go_left = malloc((n > 0 ? n : 1) * sizeof(uint8_t));
+    if (!scratch || !go_left || !tree_reserve(&t, 2 * n + 1))
+        goto done;
+
+    int64_t n_nodes = 1, sp = 0, splits = 0, fallbacks = 0;
+    int32_t n_cand = n_feat;
+    if (!draw)
+        for (int32_t f = 0; f < n_feat; f++) feats[f] = f;
+    int64_t root_pos = 0;
+    for (int64_t i = 0; i < n; i++) root_pos += (int64_t)y[i];
+    t.start[0] = 0; t.size[0] = n; t.depth[0] = 0; t.gpos[0] = root_pos;
+    t.stack[sp++] = 0;
+
+    /* -- grow -- */
+    while (sp > 0) {
+        const int64_t id = t.stack[--sp];
+        const int64_t start = t.start[id], m = t.size[id];
+        const int64_t pos = t.gpos[id], neg = m - pos;
+        t.feature[id] = -1;
+        t.threshold[id] = 0.0;
+        t.left[id] = -1;
+        if (m < 2 * min_samples_leaf || pos == 0 || neg == 0
+            || (max_depth >= 0 && t.depth[id] >= max_depth))
+            continue;
+        if (draw) {
+            n_cand = draw();
+            if (n_cand < 0) { status = ERR_CALLBACK; goto done; }
+            for (int32_t i = 0; i < n_cand; i++)
+                if (feats[i] < 0 || feats[i] >= n_feat) { status = ERR_FEATURE; goto done; }
+        }
+        const double parent_entropy =
+            (xlogx[m] - xlogx[pos] - xlogx[neg]) / (double)m;
+        int32_t f = -1;
+        double thr = 0.0;
+        int found = best_split(xcols, y, n, orders, start, m, feats, n_cand,
+                               min_samples_leaf, pos, parent_entropy, min_gain,
+                               xlogx, &f, &thr);
+        if (found < 0) {  /* uncertain: margin inside the guard band */
+            fallbacks++;
+            found = search(start, m, n_cand, (double)pos, (double)neg);
+            if (found < 0) { status = ERR_CALLBACK; goto done; }
+            f = *result_feature;
+            thr = *result_threshold;
+            if (found && (f < 0 || f >= n_feat)) { status = ERR_FEATURE; goto done; }
+        }
+        if (!found) continue;
+        if (n_nodes + 2 > t.cap && !tree_reserve(&t, 2 * t.cap)) goto done;
+
+        /* Stable in-place partition of every feature's segment: left
+         * rows compact forward, right rows go through scratch. */
+        const double *xs = xcols + (int64_t)f * n;
+        const int32_t *ord_f = orders + (int64_t)f * n + start;
+        int64_t m_left = 0, pos_left = 0;
+        for (int64_t i = 0; i < m; i++) {
+            const int32_t r = ord_f[i];
+            const uint8_t go = xs[r] <= thr;
+            go_left[r] = go;
+            if (go) { m_left++; pos_left += (int64_t)y[r]; }
+        }
+        for (int32_t g = 0; g < n_feat; g++) {
+            int32_t *ord = orders + (int64_t)g * n + start;
+            int64_t li = 0, ri = 0;
+            for (int64_t i = 0; i < m; i++) {
+                const int32_t r = ord[i];
+                if (go_left[r]) ord[li++] = r;
+                else scratch[ri++] = r;
+            }
+            memcpy(ord + li, scratch, ri * sizeof(int32_t));
+        }
+        splits++;
+        t.feature[id] = f;
+        t.threshold[id] = thr;
+        const int64_t l = n_nodes, r = n_nodes + 1;
+        n_nodes += 2;
+        t.left[id] = l;
+        t.start[l] = start;          t.size[l] = m_left;
+        t.start[r] = start + m_left; t.size[r] = m - m_left;
+        t.depth[l] = t.depth[r] = t.depth[id] + 1;
+        t.gpos[l] = pos_left;
+        t.gpos[r] = pos - pos_left;
+        t.stack[sp++] = l;
+        t.stack[sp++] = r;  /* popped first */
+    }
+
+    /* -- reduced-error pruning against the fold -- */
+    if (fold) {
+        route(&t, n_nodes, x_rows, y_rows, n_feat, fold, n_fold);
+        int64_t *error = t.stack;  /* the grow stack is free again */
+        for (int64_t id = n_nodes - 1; id >= 0; id--) {
+            const int64_t grow_neg = t.size[id] - t.gpos[id];
+            const int64_t collapsed = (t.gpos[id] >= grow_neg)
+                ? t.count[id] - t.cpos[id] : t.cpos[id];
+            if (t.left[id] < 0) {
+                error[id] = collapsed;
+                continue;
+            }
+            const int64_t children = error[t.left[id]] + error[t.left[id] + 1];
+            if (collapsed <= children) {  /* keeps the split's threshold */
+                t.feature[id] = -1;
+                t.left[id] = -1;
+                error[id] = collapsed;
+            } else {
+                error[id] = children;
+            }
+        }
+    }
+
+    /* -- leaf counts over every row -- */
+    route(&t, n_nodes, x_rows, y_rows, n_feat, NULL, n_rows);
+
+    /* -- pre-order emission, left first -- */
+    int64_t n_out = 0;
+    sp = 0;
+    t.stack[sp++] = 0;
+    while (sp > 0) {  /* count the surviving nodes */
+        const int64_t id = t.stack[--sp];
+        n_out++;
+        if (t.left[id] >= 0) {
+            t.stack[sp++] = t.left[id];
+            t.stack[sp++] = t.left[id] + 1;
+        }
+    }
+    if (alloc(n_out) < 0) { status = ERR_CALLBACK; goto done; }
+    int64_t *out_feature = out[0], *out_left = out_feature + n_out,
+            *out_right = out_left + n_out;
+    double *out_threshold = out[1], *out_pos = out_threshold + n_out,
+           *out_neg = out_pos + n_out;
+    int64_t *parent = t.start, *side = t.size;  /* free after growing */
+    int64_t k = 0;
+    sp = 0;
+    t.stack[sp] = 0; parent[sp] = -1; side[sp] = 0; sp++;
+    while (sp > 0) {
+        sp--;
+        const int64_t id = t.stack[sp], p = parent[sp], s = side[sp];
+        const int64_t idx = k++;
+        out_feature[idx] = t.feature[id];
+        out_threshold[idx] = t.threshold[id];
+        out_left[idx] = -1;
+        out_right[idx] = -1;
+        out_pos[idx] = (double)t.cpos[id];
+        out_neg[idx] = (double)(t.count[id] - t.cpos[id]);
+        if (p >= 0) {
+            if (s == 0) out_left[p] = idx;
+            else out_right[p] = idx;
+        }
+        if (t.left[id] >= 0) {
+            t.stack[sp] = t.left[id] + 1; parent[sp] = idx; side[sp] = 1; sp++;
+            t.stack[sp] = t.left[id];     parent[sp] = idx; side[sp] = 0; sp++;
+        }
+    }
+    stats[0] = n_nodes;
+    stats[1] = splits;
+    stats[2] = fallbacks;
+    status = k;
+
+done:
+    tree_free(&t);
+    free(scratch);
+    free(go_left);
+    return status;
 }
 """.replace("UNCERTAIN_GAIN_MARGIN", repr(UNCERTAIN_GAIN_MARGIN))
 
 _I64 = ctypes.c_int64
 _I32 = ctypes.c_int32
+_F64 = ctypes.c_double
 _PTR = ctypes.c_void_p
+_DRAW = ctypes.CFUNCTYPE(_I32)
+_SEARCH = ctypes.CFUNCTYPE(_I32, _I64, _I64, _I32, _F64, _F64)
+_ALLOC = ctypes.CFUNCTYPE(_I32, _I64)
+_NO_DRAW = _DRAW()  # NULL: examine every feature
 _SIGNATURES = {
-    "repro_fit_best_split": (
-        [_PTR, _PTR, _I64, _PTR, _I64, _PTR, _I32, _I64, _I64,
-         ctypes.c_double, ctypes.c_double, _PTR, _PTR, _PTR],
-        ctypes.c_int,
+    "repro_fit_tree": (
+        [_PTR, _PTR, _I64, _I32, _PTR, _PTR,
+         _I64, _I64, _F64,
+         _DRAW, _SEARCH, _ALLOC, _PTR, _PTR, _PTR, _PTR,
+         _PTR, _PTR, _I64, _PTR, _I64, _PTR],
+        _I64,
     ),
-    "repro_fit_partition": (
-        [_PTR, ctypes.c_double, _PTR, _I64, _I32, _I64, _PTR, _PTR],
-        None,
-    ),
+}
+
+#: ``repro_fit_tree`` error codes without a Python exception to re-raise.
+_KERNEL_ERRORS = {
+    -2: (IndexError, "candidate feature index out of range"),
+    -3: (MemoryError, "fit kernel could not allocate its node arrays"),
 }
 
 
 def _kernel() -> "ctypes.CDLL | None":
-    """The compiled split-search kernel, or ``None`` (NumPy scan)."""
+    """The compiled whole-tree kernel, or ``None`` (NumPy engine)."""
     return _ckernel.load("fit", _KERNEL_SOURCE, _SIGNATURES)
 
-
-def _ptr(array: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(array.ctypes.data)
 
 
 def _search_numpy(
@@ -321,6 +577,12 @@ def _search_numpy(
     return int(feats[r]), float((XS[r, k] + XS[r, k + 1]) / 2.0)
 
 
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-major columns of ``X`` and their stable per-feature argsort."""
+    Xcols = np.ascontiguousarray(X.T)
+    return Xcols, np.argsort(Xcols, axis=1, kind="stable").astype(np.int32)
+
+
 def grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -328,38 +590,25 @@ def grow_tree(
     max_depth: int | None,
     min_samples_leaf: int,
     min_gain: float,
-    depth: int = 0,
 ) -> tuple[_Node, dict[str, int]]:
-    """Grow a (sub)tree from presorted feature orders.
+    """Grow a tree from presorted feature orders: the NumPy engine.
 
     Node processing order, pre-split checks, candidate-feature sampling
     (``candidate_features`` is consulted once per expandable node, in the
     same order as the reference grower -- which keeps RandomTree's RNG
     stream identical) and split selection all mirror the reference
-    grower exactly.  Uses the C kernel when it loaded.  Returns the root
-    node plus ``{"nodes", "splits", "fallbacks"}`` counters, which are
-    also added to the process metrics.
+    grower exactly.  Returns the root node plus ``{"nodes", "splits"}``
+    counters; the fit is also counted in the process metrics.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
-    n, n_features = X.shape
-    Xcols = np.ascontiguousarray(X.T)
-    orders = np.empty((n_features, n), dtype=np.int32)
-    for f in range(n_features):
-        orders[f] = np.argsort(Xcols[f], kind="stable")
-
-    lib = _kernel()
-    if lib is not None:
-        k = np.arange(n + 1, dtype=np.float64)
-        xlogx = k * np.log(np.maximum(k, 1.0))
-        out_feature = np.zeros(1, dtype=np.int32)
-        out_threshold = np.zeros(1, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    Xcols, orders = _presort(np.asarray(X, dtype=np.float64))
+    n_features, n = orders.shape
     flags = np.empty(n, dtype=bool)
 
-    stats = {"nodes": 0, "splits": 0, "fallbacks": 0}
+    stats = {"nodes": 0, "splits": 0}
     root_pos = float(y.sum())
     root = _Node(grow_pos=root_pos, grow_neg=float(n - root_pos))
-    stack: list[tuple[_Node, np.ndarray, int]] = [(root, orders, depth)]
+    stack: list[tuple[_Node, np.ndarray, int]] = [(root, orders, 0)]
     while stack:
         node, node_orders, d = stack.pop()
         stats["nodes"] += 1
@@ -373,33 +622,10 @@ def grow_tree(
         ):
             continue
         feats = np.asarray(candidate_features(n_features))
-        parent_entropy = _entropy_scalar(pos, neg)
-        split: tuple[int, float] | None
-        if lib is not None:
-            feats32 = np.ascontiguousarray(feats, dtype=np.int32)
-            status = lib.repro_fit_best_split(
-                _ptr(Xcols), _ptr(y), n,
-                _ptr(node_orders), m,
-                _ptr(feats32), len(feats32),
-                min_samples_leaf, int(pos),
-                parent_entropy, min_gain,
-                _ptr(xlogx), _ptr(out_feature), _ptr(out_threshold),
-            )
-            if status < 0:  # uncertain: margin inside the guard band
-                stats["fallbacks"] += 1
-                split = _search_numpy(
-                    Xcols, y, node_orders, feats,
-                    min_samples_leaf, min_gain, parent_entropy, pos,
-                )
-            elif status == 0:
-                split = None
-            else:
-                split = (int(out_feature[0]), float(out_threshold[0]))
-        else:
-            split = _search_numpy(
-                Xcols, y, node_orders, feats,
-                min_samples_leaf, min_gain, parent_entropy, pos,
-            )
+        split = _search_numpy(
+            Xcols, y, node_orders, feats,
+            min_samples_leaf, min_gain, _entropy_scalar(pos, neg), pos,
+        )
         if split is None:
             continue
         feature, threshold = split
@@ -407,22 +633,13 @@ def grow_tree(
         go_left = Xcols[feature][ord_split] <= threshold
         m_left = int(np.count_nonzero(go_left))
         pos_left = float(y[ord_split[go_left]].sum())
-        if lib is not None:
-            left_orders = np.empty((n_features, m_left), dtype=np.int32)
-            right_orders = np.empty((n_features, m - m_left), dtype=np.int32)
-            lib.repro_fit_partition(
-                _ptr(Xcols[feature]), threshold,
-                _ptr(node_orders), m, n_features, m_left,
-                _ptr(left_orders), _ptr(right_orders),
-            )
-        else:
-            # Row-major boolean selection keeps each feature's order
-            # stable, and every row keeps exactly m_left entries, so the
-            # flat selections reshape back into per-feature orders.
-            flags[ord_split] = go_left
-            sel = flags[node_orders]
-            left_orders = node_orders[sel].reshape(n_features, m_left)
-            right_orders = node_orders[~sel].reshape(n_features, m - m_left)
+        # Row-major boolean selection keeps each feature's order stable,
+        # and every row keeps exactly m_left entries, so the flat
+        # selections reshape back into per-feature orders.
+        flags[ord_split] = go_left
+        sel = flags[node_orders]
+        left_orders = node_orders[sel].reshape(n_features, m_left)
+        right_orders = node_orders[~sel].reshape(n_features, m - m_left)
         stats["splits"] += 1
         node.feature = feature
         node.threshold = threshold
@@ -433,8 +650,114 @@ def grow_tree(
         )
         stack.append((node.left, left_orders, d + 1))
         stack.append((node.right, right_orders, d + 1))
-    counter("tree_fits", engine="numpy" if lib is None else "c").inc()
+    counter("tree_fits", engine="numpy").inc()
     counter("fit_split_nodes").inc(stats["splits"])
-    if stats["fallbacks"]:
-        counter("fit_kernel_fallbacks").inc(stats["fallbacks"])
     return root, stats
+
+
+def fit_tree_kernel(
+    lib: ctypes.CDLL,
+    X: np.ndarray,
+    y: np.ndarray,
+    grow_rows: np.ndarray | None,
+    fold: np.ndarray | None,
+    candidate_features: Callable[[int], np.ndarray] | None,
+    max_depth: int | None,
+    min_samples_leaf: int,
+    min_gain: float,
+) -> tuple[tuple[np.ndarray, ...], dict[str, int]]:
+    """Grow, prune, count and emit one tree in one ``repro_fit_tree`` call.
+
+    The tree grows on ``X[grow_rows]`` (all rows when ``None``), is
+    pruned against ``X[fold]`` when ``fold`` is given, and counts every
+    row of ``X`` at its nodes.  ``candidate_features`` is called back
+    once per expandable node; ``None`` examines every feature without a
+    callback.  Returns the frozen tree's pre-order
+    ``(feature, threshold, left, right, pos, neg)`` arrays plus
+    ``{"nodes", "splits", "fallbacks"}`` counters, which are also added
+    to the process metrics.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if grow_rows is None:
+        X_grow, y_grow = X, y
+    else:
+        X_grow, y_grow = X[grow_rows], y[grow_rows]
+    Xcols, orders = _presort(X_grow)
+    n_features, n = orders.shape
+    k = np.arange(n + 1, dtype=np.float64)
+    xlogx = k * np.log(np.maximum(k, 1.0))
+    feats = np.empty(max(n_features, 1), dtype=np.int32)
+    result_feature = np.zeros(1, dtype=np.int32)
+    result_threshold = np.zeros(1, dtype=np.float64)
+    errors: list[BaseException] = []
+
+    def draw() -> int:
+        try:
+            drawn = np.asarray(candidate_features(n_features))
+            feats[: len(drawn)] = drawn
+            return len(drawn)
+        except BaseException as exc:  # re-raised once the kernel returns
+            errors.append(exc)
+            return -1
+
+    def search(start: int, m: int, n_cand: int, pos: float, neg: float) -> int:
+        try:
+            split = _search_numpy(
+                Xcols, y_grow, orders[:, start : start + m], feats[:n_cand],
+                min_samples_leaf, min_gain, _entropy_scalar(pos, neg), pos,
+            )
+            if split is None:
+                return 0
+            result_feature[0], result_threshold[0] = split
+            return 1
+        except BaseException as exc:
+            errors.append(exc)
+            return -1
+
+    out: list[np.ndarray] = []
+    out_ptrs = np.zeros(2, dtype=np.uintp)
+
+    def alloc(n_nodes: int) -> int:
+        try:
+            out.append(np.empty((3, n_nodes), dtype=np.int64))
+            out.append(np.empty((3, n_nodes), dtype=np.float64))
+            out_ptrs[0] = out[0].ctypes.data
+            out_ptrs[1] = out[1].ctypes.data
+            return 0
+        except BaseException as exc:
+            errors.append(exc)
+            return -1
+
+    # The callbacks and every buffer stay referenced until the call returns.
+    draw_cb = _NO_DRAW if candidate_features is None else _DRAW(draw)
+    search_cb, alloc_cb = _SEARCH(search), _ALLOC(alloc)
+    stats = np.zeros(3, dtype=np.int64)
+    if fold is not None:
+        fold = np.ascontiguousarray(fold, dtype=np.int64)
+    status = lib.repro_fit_tree(
+        Xcols.ctypes.data, y_grow.ctypes.data, n, n_features,
+        orders.ctypes.data, xlogx.ctypes.data,
+        -1 if max_depth is None else max_depth, min_samples_leaf, min_gain,
+        draw_cb, search_cb, alloc_cb, feats.ctypes.data,
+        result_feature.ctypes.data, result_threshold.ctypes.data,
+        out_ptrs.ctypes.data,
+        X.ctypes.data, y.ctypes.data, len(y),
+        None if fold is None else fold.ctypes.data,
+        0 if fold is None else len(fold),
+        stats.ctypes.data,
+    )
+    if errors:
+        raise errors[0]
+    if status < 0:
+        error, message = _KERNEL_ERRORS[status]
+        raise error(message)
+    nodes, splits, fallbacks = (int(v) for v in stats)
+    counter("tree_fits", engine="c").inc()
+    counter("fit_split_nodes").inc(splits)
+    if fallbacks:
+        counter("fit_kernel_fallbacks").inc(fallbacks)
+    (feature, left, right), (threshold, pos, neg) = out
+    return (feature, threshold, left, right, pos, neg), {
+        "nodes": nodes, "splits": splits, "fallbacks": fallbacks,
+    }

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fit_engine
 from .fit_engine import _Node, grow_tree
 
 
@@ -85,8 +86,8 @@ class DecisionTreeBase:
 
     # -- fitting --------------------------------------------------------
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        """Grow a (sub)tree through :func:`repro.ml.fit_engine.grow_tree`."""
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> _Node:
+        """Grow a tree through :func:`repro.ml.fit_engine.grow_tree`."""
         root, _stats = grow_tree(
             X,
             y,
@@ -94,9 +95,15 @@ class DecisionTreeBase:
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
             min_gain=self.min_gain,
-            depth=depth,
         )
         return root
+
+    def _grow_and_prune_rows(
+        self, n: int
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Rows to grow on (``None``: all) and the pruning fold (``None``:
+        no pruning)."""
+        return None, None
 
     def _route(self, root: _Node, X: np.ndarray, y: np.ndarray, field_prefix: str) -> None:
         """Accumulate per-node class counts of ``(X, y)`` into the tree."""
@@ -166,20 +173,53 @@ class DecisionTreeBase:
             raise ValueError("cannot fit on an empty training set")
         if not ((y == 0.0) | (y == 1.0)).all():
             raise ValueError("tree labels must be 0 or 1")
+        if not np.isfinite(X).all():
+            raise ValueError("tree features must be finite")
         self.n_features_ = X.shape[1]
-        self._prior = float(y.mean()) if len(y) else 0.5
-        root = self._fit_root(X, y)
-        self._tree = self._freeze(root)
+        self._prior = float(y.mean())
+        self._tree = self._fit_tree(X, y)
         return self
 
-    def _fit_root(self, X: np.ndarray, y: np.ndarray) -> _Node:
-        root = self._grow(X, y, depth=0)
-        self._finalize_counts(root, X, y)
-        return root
+    def _fit_tree(self, X: np.ndarray, y: np.ndarray) -> _FrozenTree:
+        """Grow, prune, count and freeze one tree.
 
-    def _finalize_counts(self, root: _Node, X: np.ndarray, y: np.ndarray) -> None:
-        """Fill ``total_*`` leaf counts used for Eq. (1) probabilities."""
+        One :func:`repro.ml.fit_engine.fit_tree_kernel` call when the fit
+        kernel loaded, else the NumPy pipeline (:meth:`_fit_numpy`).
+        """
+        grow_rows, fold = self._grow_and_prune_rows(len(y))
+        lib = fit_engine._kernel()
+        if lib is None:
+            return self._fit_numpy(X, y, grow_rows, fold)
+        # A tree that examines every feature needs no per-node callback.
+        samples = getattr(self._candidate_features, "__func__", None) is not (
+            DecisionTreeBase._candidate_features
+        )
+        arrays, _stats = fit_engine.fit_tree_kernel(
+            lib, X, y, grow_rows, fold,
+            candidate_features=self._candidate_features if samples else None,
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            min_gain=self.min_gain,
+        )
+        return _FrozenTree(*arrays)
+
+    def _fit_numpy(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        grow_rows: np.ndarray | None,
+        fold: np.ndarray | None,
+    ) -> _FrozenTree:
+        """Grow, prune against ``fold``, count every row, freeze."""
+        if grow_rows is None:
+            root = self._grow(X, y)
+        else:
+            root = self._grow(X[grow_rows], y[grow_rows])
+        if fold is not None:
+            self._route(root, X[fold], y[fold], "prune")
+            self._prune(root)
         self._route(root, X, y, "total")
+        return self._freeze(root)
 
     # -- inference ------------------------------------------------------
 
@@ -274,21 +314,13 @@ class REPTree(DecisionTreeBase):
             raise ValueError("num_folds must be >= 2")
         self.num_folds = num_folds
 
-    def _fit_root(self, X: np.ndarray, y: np.ndarray) -> _Node:
-        n = len(y)
+    def _grow_and_prune_rows(
+        self, n: int
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
         if n < self.num_folds:
-            # Too little data to prune; grow only.
-            root = self._grow(X, y, depth=0)
-            self._finalize_counts(root, X, y)
-            return root
+            return None, None  # too little data to prune; grow only
         perm = self.rng.permutation(n)
-        fold = perm[: n // self.num_folds]
-        grow_rows = perm[n // self.num_folds :]
-        root = self._grow(X[grow_rows], y[grow_rows], depth=0)
-        self._route(root, X[fold], y[fold], "prune")
-        self._prune(root)
-        self._finalize_counts(root, X, y)
-        return root
+        return perm[n // self.num_folds :], perm[: n // self.num_folds]
 
     def _prune(self, root: _Node) -> None:
         """Bottom-up reduced-error pruning (iterative post-order)."""

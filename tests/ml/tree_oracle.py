@@ -1,12 +1,14 @@
-"""Reference tree grower: per-node argsorts.
+"""Reference tree pipeline: per-node argsorts, Python prune and freeze.
 
 :class:`OracleREPTree` and :class:`OracleRandomTree` are the library
-trees with the presorted :func:`repro.ml.fit_engine.grow_tree` replaced
-by the plain grower both of its kernels must reproduce node for node:
-at every node, each candidate feature column is stably argsorted and
-scanned for the information-gain-maximizing midpoint (first maximum per
-feature, strict ``>`` across features).  Node order and candidate-feature
-sampling match the engine, so a RandomTree's RNG stream stays in sync.
+trees fitted by the plain pipeline both fit engines must reproduce node
+for node, whether or not the C kernel loaded: the reference grower
+below -- at every node, each candidate feature column is stably
+argsorted and scanned for the information-gain-maximizing midpoint
+(first maximum per feature, strict ``>`` across features) -- followed by
+the library's Python ``_route``, ``_prune`` and ``_freeze``.  Node order
+and candidate-feature sampling match the engines, so a RandomTree's RNG
+stream stays in sync.
 """
 
 from __future__ import annotations
@@ -87,17 +89,15 @@ def _best_split(
     return best
 
 
-def grow_reference(
-    tree: DecisionTreeBase, X: np.ndarray, y: np.ndarray, depth: int
-) -> _Node:
-    """Grow ``tree``'s (sub)tree on ``(X, y)`` with per-node argsorts."""
+def grow_reference(tree: DecisionTreeBase, X: np.ndarray, y: np.ndarray) -> _Node:
+    """Grow ``tree``'s tree on ``(X, y)`` with per-node argsorts."""
 
     def new_node(ys: np.ndarray) -> _Node:
         pos = float(ys.sum())
         return _Node(grow_pos=pos, grow_neg=float(len(ys) - pos))
 
     root = new_node(y)
-    stack: list[tuple[_Node, np.ndarray, np.ndarray, int]] = [(root, X, y, depth)]
+    stack: list[tuple[_Node, np.ndarray, np.ndarray, int]] = [(root, X, y, 0)]
     while stack:
         node, Xn, yn, d = stack.pop()
         pos, neg = node.grow_pos, node.grow_neg
@@ -129,16 +129,26 @@ def grow_reference(
 
 
 class _ReferenceGrower:
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        return grow_reference(self, X, y, depth)
+    """Fits through the Python pipeline even when the fit kernel loaded."""
+
+    def _fit_tree(self, X: np.ndarray, y: np.ndarray):
+        return self._fit_numpy(X, y, *self._grow_and_prune_rows(len(y)))
+
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> _Node:
+        return grow_reference(self, X, y)
+
+
+class OracleDecisionTree(_ReferenceGrower, DecisionTreeBase):
+    """:class:`DecisionTreeBase` (every feature, no pruning) fitted by the
+    reference pipeline."""
 
 
 class OracleREPTree(_ReferenceGrower, REPTree):
-    """:class:`REPTree` grown by :func:`grow_reference`."""
+    """:class:`REPTree` fitted by the reference pipeline."""
 
 
 class OracleRandomTree(_ReferenceGrower, RandomTree):
-    """:class:`RandomTree` grown by :func:`grow_reference`."""
+    """:class:`RandomTree` fitted by the reference pipeline."""
 
 
 def oracle_bagging(n_estimators: int = 10, seed: int = 0) -> Bagging:
