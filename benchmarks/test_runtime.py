@@ -4,7 +4,7 @@ Three timed variants of the same LOOCV workload:
 
 * serial, no cache -- the pre-runtime baseline;
 * parallel (``jobs = cpu_count``), no cache -- pool speedup;
-* serial, warm cache -- memoization speedup.
+* serial, warm cache -- fitted-model memoization speedup.
 
 Correctness (bit-identical results across all three) is asserted
 unconditionally.  The >= 2x parallel-speedup acceptance criterion only
@@ -70,7 +70,7 @@ def test_runtime_serial_parallel_warm(benchmark, views8, tmp_path_factory):
     benchmark.extra_info["cold_cache_seconds"] = round(t_cold, 3)
     benchmark.extra_info["warm_cache_seconds"] = round(t_warm, 3)
 
-    # The warm cache skips featurization; it must never lose to cold.
+    # The warm cache skips fitting; it must never lose to cold.
     assert t_warm <= t_cold * 1.25
 
     if cores >= 4:

@@ -5,13 +5,15 @@ Implements the paper's Fig. 1 pipeline around a trained classifier:
 * :func:`train_attack` -- build the balanced training set from the
   training views (with the Imp neighborhood and/or the "Y" limit when the
   configuration asks for them) and fit the Bagging classifier, or
-  restore the identical fitted model from the feature cache;
+  restore the identical fitted model from the feature cache (fitted
+  models are its only entries);
 * :func:`score_candidates` -- the one candidate -> featurize -> predict
   stream: enumerate candidate pairs of a test view (all legal pairs for
   ``ML``, neighborhood pairs for ``Imp``) and classify them in
   bounded-memory chunks;
 * :func:`evaluate_attack` -- record the probability of every candidate
-  pair (Section III-F: thresholds are applied *afterwards*);
+  pair (Section III-F: thresholds are applied *afterwards*); candidates
+  are always featurized afresh, never cached;
 * :func:`run_loo` -- leave-one-out cross validation over a suite.
 """
 
@@ -29,7 +31,6 @@ from ..obs.logging import get_logger
 from ..obs.metrics import counter
 from ..obs.trace import span
 from ..runtime import (
-    MAX_CHUNKED_BYTES,
     FeatureCache,
     code_fingerprint,
     get_default_cache,
@@ -41,7 +42,6 @@ from ..runtime import (
 from ..splitmfg.featurize_engine import PairFeaturizer
 from ..splitmfg.sampling import (
     NeighborhoodIndex,
-    TrainingSet,
     axis_aligned,
     build_training_set,
     iter_all_pairs,
@@ -116,7 +116,7 @@ class TrainedAttack:
     n_training_samples: int
 
 
-def _training_set_key(
+def _model_key(
     config: AttackConfig,
     training_views: list[SplitView],
     fraction: float | None,
@@ -124,25 +124,17 @@ def _training_set_key(
     seed: int,
     allowed: list[np.ndarray] | None,
 ) -> str:
-    """Cache key for the featurized, balanced training matrices."""
+    """Cache key for the fitted model: the code, the training views'
+    content, the sampling decisions, the seed, ``allowed`` and every
+    configuration field (backend, its parameters, ensemble knobs)."""
     return hash_key(
-        "training-set",
+        "trained-model",
         code_fingerprint(),
         [view_content_hash(view) for view in training_views],
-        list(config.features),
         fraction,
         axis,
         seed,
         None if allowed is None else [np.asarray(m, dtype=bool) for m in allowed],
-    )
-
-
-def _model_key(config: AttackConfig, training_set_key: str) -> str:
-    """Cache key for the fitted model: its training set plus every
-    configuration field (backend, its parameters, ensemble knobs)."""
-    return hash_key(
-        "trained-model",
-        training_set_key,
         [(f.name, getattr(config, f.name)) for f in fields(config)],
     )
 
@@ -194,15 +186,14 @@ def train_attack(
     """Fit the attack classifier on the training views.
 
     The sampling stream and the model seed are derived as *independent*
-    children of ``seed`` (``SeedSequence.spawn``): the fitted model is
-    identical whether the training matrices were rebuilt or restored
-    from ``cache`` (the process default cache when ``None``).
+    children of ``seed`` (``SeedSequence.spawn``).
 
-    With a cache, the fitted model itself is an entry too: a repeat of
-    the same (code, configuration, training views, seed, ``allowed``)
-    restores it through its backend's ``from_state`` -- bit-identical
-    predictions -- and reports the ``train_time`` the original fit
-    measured, so runtime columns keep meaning "time to train".
+    With a feature cache (``cache``, else the process default), the
+    fitted model is an entry: a repeat of the same (code, configuration,
+    training views, seed, ``allowed``) restores it through its backend's
+    ``from_state`` -- bit-identical predictions -- and reports the
+    ``train_time`` the original fit measured, so runtime columns keep
+    meaning "time to train".  A miss always rebuilds the training set.
     """
     if not training_views:
         raise ValueError("need at least one training view")
@@ -218,13 +209,9 @@ def train_attack(
             else None
         )
         key: str | None = None
-        model_key: str | None = None
         if cache is not None:
-            key = _training_set_key(
-                config, training_views, fraction, axis, seed, allowed
-            )
-            model_key = _model_key(config, key)
-            stored = cache.get(model_key)
+            key = _model_key(config, training_views, fraction, axis, seed, allowed)
+            stored = cache.get(key)
             if stored is not None:
                 model, train_time, n_samples = _restore_model(config, stored)
                 outer.set(model="cache", n_samples=n_samples)
@@ -236,30 +223,18 @@ def train_attack(
                     train_time=train_time,
                     n_training_samples=n_samples,
                 )
-        training_set: TrainingSet | None = None
         with span("build_training_set") as build:
-            if key is not None:
-                stored = cache.get(key)
-                if stored is not None:
-                    training_set = TrainingSet(
-                        X=stored["X"], y=stored["y"], features=config.features
-                    )
-            source = "cache"
-            if training_set is None:
-                source = "featurized"
-                training_set = build_training_set(
-                    training_views,
-                    config.features,
-                    np.random.default_rng(sample_sequence),
-                    neighborhood=fraction,
-                    y_aligned_only=axis == "y",
-                    x_aligned_only=axis == "x",
-                    allowed=allowed,
-                )
-                counter("pairs_featurized").inc(training_set.n_samples)
-                if key is not None:
-                    cache.put(key, {"X": training_set.X, "y": training_set.y})
-            build.set(source=source, n_samples=training_set.n_samples)
+            training_set = build_training_set(
+                training_views,
+                config.features,
+                np.random.default_rng(sample_sequence),
+                neighborhood=fraction,
+                y_aligned_only=axis == "y",
+                x_aligned_only=axis == "x",
+                allowed=allowed,
+            )
+            counter("pairs_featurized").inc(training_set.n_samples)
+            build.set(n_samples=training_set.n_samples)
         with span(
             "fit", backend=config.backend, n_estimators=config.n_estimators
         ):
@@ -270,19 +245,13 @@ def train_attack(
             model = backend.model_ = backend.build(model_seed)
             model.fit(training_set.X, training_set.y)
         train_time = time.perf_counter() - start
-        if model_key is not None:
-            _store_model(
-                cache, model_key, backend, train_time, training_set.n_samples
-            )
+        if key is not None:
+            _store_model(cache, key, backend, train_time, training_set.n_samples)
         outer.set(model="fitted", n_samples=training_set.n_samples)
         logger.debug(
             "trained %s",
             config.name,
-            extra={
-                "config": config.name,
-                "n_samples": training_set.n_samples,
-                "training_set": source,
-            },
+            extra={"config": config.name, "n_samples": training_set.n_samples},
         )
     return TrainedAttack(
         config=config,
@@ -352,96 +321,29 @@ def score_candidates(
             yield i, j, X, trained.model.predict_proba(X)
 
 
-def _candidate_key(trained: TrainedAttack, view: SplitView) -> str:
-    """Cache key for a view's featurized candidate pairs.
-
-    The key covers everything the candidate matrix depends on: the test
-    view's content, the feature set, and the testing rule (neighborhood
-    fraction and "Y" limit).  It does *not* depend on the classifier, so
-    every configuration sharing a testing rule reuses the entry.
-    """
-    return hash_key(
-        "candidates",
-        code_fingerprint(),
-        view_content_hash(view),
-        list(trained.config.features),
-        trained.neighborhood,
-        trained.limit_axis,
-    )
-
-
-def _replay(
-    trained: TrainedAttack, cache: FeatureCache, key: str, n_chunks: int
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]] | None:
-    """Score a cached candidate family; ``None`` if a chunk is missing."""
-    out_i, out_j, out_p = [], [], []
-    for index in range(n_chunks):
-        entry = cache.get_chunk(key, index)
-        if entry is None:
-            return None
-        out_i.append(entry["i"])
-        out_j.append(entry["j"])
-        out_p.append(trained.model.predict_proba(entry["X"]))
-    return out_i, out_j, out_p
-
-
 def evaluate_attack(
     trained: TrainedAttack,
     view: SplitView,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    cache: FeatureCache | None = None,
 ) -> AttackResult:
     """Classify the test view's candidate pairs and record probabilities.
 
     Pairs violating the "Y" limit (when active) are classified as
     disconnected without testing -- they simply never enter the result,
-    which is also what halves the runtime in Table IV.
-
-    When a feature cache is available (explicitly or via the process
-    default), the featurized candidate matrix is restored from disk on a
-    hit and stored after a miss; probabilities are identical either way
-    because every tree scores rows independently.  Candidate matrices
-    are stored *chunk-addressed* (one ``.npz`` per scored chunk plus an
-    index entry written last), so neither the store nor the replay path
-    ever materializes the full matrix: peak RSS is one chunk's features
-    plus the accumulated ``(i, j, prob)`` result arrays, whatever the
-    design size.
+    which is also what halves the runtime in Table IV.  Candidates are
+    featurized and scored one bounded chunk at a time, so peak RSS is
+    one chunk's features plus the accumulated ``(i, j, prob)`` arrays.
     """
     start = time.perf_counter()
-    if cache is None:
-        cache = get_default_cache()
     with span(
         "evaluate", design=view.design_name, config=trained.config.name
     ) as outer:
-        key = _candidate_key(trained, view) if cache is not None else None
-        stored = cache.get(key) if key is not None else None
-        parts = None
-        if stored is not None and "n_chunks" in stored:
-            with span("score", candidates="cache"):
-                parts = _replay(trained, cache, key, int(stored["n_chunks"]))
-        if parts is None:
-            out_i, out_j, out_p = [], [], []
-            caching = key is not None
-            stored_bytes = 0
-            with span("score", candidates="featurized"):
-                for i, j, X, p in score_candidates(trained, view, chunk_size):
-                    out_i.append(i)
-                    out_j.append(j)
-                    out_p.append(p)
-                    if caching:
-                        # Over the budget nothing more is stored, and
-                        # without the index the family is discarded.
-                        stored_bytes += i.nbytes + j.nbytes + X.nbytes
-                        caching = stored_bytes <= MAX_CHUNKED_BYTES and (
-                            cache.put_chunk(
-                                key, len(out_i) - 1, {"i": i, "j": j, "X": X}
-                            )
-                        )
-            counter("pairs_featurized").inc(sum(len(i) for i in out_i))
-            if caching:
-                cache.put(key, {"n_chunks": np.array(len(out_i))})
-            parts = out_i, out_j, out_p
-        out_i, out_j, out_p = parts
+        out_i, out_j, out_p = [], [], []
+        with span("score"):
+            for i, j, _, p in score_candidates(trained, view, chunk_size):
+                out_i.append(i)
+                out_j.append(j)
+                out_p.append(p)
         n_evaluated = sum(len(i) for i in out_i)
         if out_i:
             pair_i = np.concatenate(out_i)
@@ -451,6 +353,7 @@ def evaluate_attack(
             pair_i = np.zeros(0, dtype=int)
             pair_j = np.zeros(0, dtype=int)
             prob = np.zeros(0)
+        counter("pairs_featurized").inc(n_evaluated)
         counter("candidates_scored").inc(n_evaluated)
         outer.set(n_pairs=n_evaluated)
         logger.debug(
@@ -491,7 +394,7 @@ def _run_loo_fold(
         trained = train_attack(
             config, training_views, seed=fold_seed, cache=cache
         )
-        result = evaluate_attack(trained, test_view, chunk_size, cache=cache)
+        result = evaluate_attack(trained, test_view, chunk_size)
     counter("folds_completed").inc()
     return result
 

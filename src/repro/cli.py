@@ -83,20 +83,6 @@ def _flush_default_cache_stats() -> None:
         flush_cache_stats(cache)
 
 
-def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk feature cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="feature cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-splitmfg/features)",
-    )
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .layout.io import save_design
     from .synth.benchmarks import BENCHMARK_SPECS, build_benchmark, spec_by_name
@@ -599,7 +585,7 @@ def _cmd_paper_scale(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser with all subcommands."""
-    from .experiments.run_all import add_runner_arguments
+    from .experiments.run_all import add_cache_arguments, add_run_arguments
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -657,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="process-pool workers for LOOCV folds (0 = all cores)",
     )
-    _add_cache_arguments(attack)
+    add_cache_arguments(attack)
     attack.set_defaults(func=_cmd_attack)
 
     for alias in ("experiments", "run-all"):
@@ -666,34 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="run paper experiments"
             + ("" if alias == "experiments" else " (alias of 'experiments')"),
         )
-        experiments.add_argument("--scale", type=positive_scale, default=0.5)
-        experiments.add_argument("--seed", type=int, default=0)
-        experiments.add_argument("--only", nargs="*", default=None)
-        experiments.add_argument(
-            "--out",
-            default=None,
-            help="write the timing-free combined report to this file "
-            "(byte-identical across --jobs values)",
-        )
-        experiments.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="process-pool workers for independent experiments "
-            "(0 = all cores)",
-        )
-        experiments.add_argument(
-            "--manifest-dir",
-            default="results/runs",
-            help="directory for the run manifest (default: results/runs)",
-        )
-        experiments.add_argument(
-            "--no-manifest",
-            action="store_true",
-            help="do not write a run manifest",
-        )
-        add_runner_arguments(experiments)
-        _add_cache_arguments(experiments)
+        add_run_arguments(experiments)
         experiments.set_defaults(func=_cmd_experiments)
 
     merge = sub.add_parser(

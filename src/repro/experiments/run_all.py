@@ -606,8 +606,51 @@ def _sigterm_as_interrupt() -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
-def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance/resume flags, shared with ``repro run-all``."""
+def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--no-cache``/``--cache-dir``, the feature-cache flags."""
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk feature cache",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help="feature cache directory (default: $REPRO_CACHE_DIR or "
+        "~/.cache/repro-splitmfg/features)",
+    )
+
+
+def add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """Every flag of a full run: this module's CLI and ``repro run-all``
+    (alias ``repro experiments``) both declare them through here."""
+    parser.add_argument("--scale", type=positive_scale, default=DEFAULT_SCALE)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--only", nargs="*", default=None)
+    parser.add_argument(
+        "--out",
+        default=None,
+        help="write the timing-free combined report to this file "
+        "(byte-identical across --jobs values)",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="process-pool workers for independent experiments "
+        "(0 = all cores)",
+    )
+    parser.add_argument(
+        "--manifest-dir",
+        default=str(DEFAULT_MANIFEST_DIR),
+        help="directory for the run manifest (default: results/runs)",
+    )
+    parser.add_argument(
+        "--no-manifest",
+        action="store_true",
+        help="do not write a run manifest",
+    )
+    add_cache_arguments(parser)
     parser.add_argument(
         "--resume",
         action="store_true",
@@ -740,41 +783,10 @@ def execute(
     return 0, outputs
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run experiments and print/save the report."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.experiments.run_all`` argument parser."""
     parser = argparse.ArgumentParser(description="Run all paper experiments")
-    parser.add_argument("--scale", type=positive_scale, default=DEFAULT_SCALE)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--only", nargs="*", default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="process-pool workers for independent experiments (0 = all cores)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk feature cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="feature cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-splitmfg/features)",
-    )
-    parser.add_argument(
-        "--manifest-dir",
-        default=str(DEFAULT_MANIFEST_DIR),
-        help="directory for the run manifest (default: results/runs)",
-    )
-    parser.add_argument(
-        "--no-manifest",
-        action="store_true",
-        help="do not write a run manifest",
-    )
-    add_runner_arguments(parser)
+    add_run_arguments(parser)
     parser.add_argument(
         "--log-level",
         default=None,
@@ -786,7 +798,12 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="emit JSON-lines logs instead of the human format",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point: run experiments and print/save the report."""
+    args = build_parser().parse_args(argv)
     configure_logging(
         level=args.log_level, json_lines=args.log_json or None
     )

@@ -8,8 +8,6 @@ from .cells import (
     make_standard_library,
 )
 from .design import Design, Route, RouteSegment, Via, route_connectivity_ok
-from .drc import Violation, assert_clean, check_design
-from .timing import RCModel, design_delays, elmore_delay, route_rc, wirelength_budget
 from .visualize import layer_usage_chart, placement_map, vpin_map, wire_density_map
 from .geometry import Point, Rect, bounding_box, centroid, hpwl, snap, snap_point
 from .io import design_from_dict, design_to_dict, load_design, save_design
@@ -34,21 +32,15 @@ __all__ = [
     "PinRef",
     "PinSpec",
     "Point",
-    "RCModel",
     "Rect",
     "Route",
     "RouteSegment",
     "Technology",
     "Via",
-    "Violation",
-    "assert_clean",
     "bounding_box",
     "centroid",
-    "check_design",
-    "design_delays",
     "design_from_dict",
     "design_to_dict",
-    "elmore_delay",
     "hpwl",
     "layer_usage_chart",
     "load_design",
@@ -56,11 +48,9 @@ __all__ = [
     "make_standard_library",
     "placement_map",
     "route_connectivity_ok",
-    "route_rc",
     "save_design",
     "snap",
     "snap_point",
     "vpin_map",
     "wire_density_map",
-    "wirelength_budget",
 ]

@@ -10,16 +10,14 @@ attack pipeline runs, as opposed to *what* it computes:
   RNG seeds with ``np.random.SeedSequence.spawn``; derivation depends
   only on ``(root seed, fold index)``, never on execution order, which
   is what makes ``--jobs N`` bit-identical to ``--jobs 1``;
-* :mod:`repro.runtime.cache` -- :class:`FeatureCache` memoizes
-  featurized training/candidate matrices and fitted models on disk,
-  keyed by a content hash of (design, split layer, feature set,
-  neighborhood, alignment, seed) plus a fingerprint of the featurization
-  and classifier code, so stale entries self-invalidate when that code
-  changes.
+* :mod:`repro.runtime.cache` -- :class:`FeatureCache` memoizes fitted
+  models on disk, keyed by a content hash of (configuration, training
+  views, neighborhood, alignment, seed) plus a fingerprint of the
+  featurization, sampling, training and classifier code, so stale
+  entries self-invalidate when that code changes.
 """
 
 from .cache import (
-    MAX_CHUNKED_BYTES,
     FeatureCache,
     code_fingerprint,
     default_cache_dir,
@@ -47,7 +45,6 @@ __all__ = [
     "FaultPlanError",
     "FeatureCache",
     "InjectedFault",
-    "MAX_CHUNKED_BYTES",
     "RetryPolicy",
     "SharedArray",
     "code_fingerprint",

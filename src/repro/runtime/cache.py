@@ -1,20 +1,22 @@
-"""On-disk memoization of featurized matrices and fitted models.
+"""On-disk memoization of fitted models.
 
-Training-set assembly, candidate featurization and model fitting
-dominate experiment wall time after the suite itself is built, and the
-very same matrices and models are recomputed by every table/figure that
-shares a (design, split layer, feature set, neighborhood, alignment,
-seed) combination -- within one ``run_all`` invocation and across
-invocations.  :class:`FeatureCache` stores them as ``.npz`` files keyed
-by a content hash of all of those inputs *plus* a fingerprint of the
-featurization, sampling and classifier source code, so a code change
-silently invalidates every stale entry.
+Fitting the attack classifier is the costly part of every
+train-then-evaluate step, and the very same model is refit by every
+table/figure that shares a (configuration, training views, sampling
+decisions, seed) combination -- within one ``run_all`` invocation and
+across invocations.  :class:`FeatureCache` stores each fitted model's
+inference state as one ``.npz`` entry keyed by a content hash of all of
+those inputs *plus* a fingerprint of the featurization, sampling,
+training-driver and classifier source code, so a code change silently
+invalidates every stale entry.  Fitted models are the only entry kind:
+training sets and candidate matrices are cheaper to rebuild than to
+store and replay, so they are never cached.
 
 Writes go through a temp file + ``os.replace`` so concurrent pool
 workers (or concurrent CLI runs) can never observe a half-written
-entry; two workers racing on the same key write the same arrays (a
-fitted-model entry differs only in the fit time it records, and either
-is a true measurement), so last-write-wins is harmless.
+entry; two workers racing on the same key write the same model (the
+entries differ only in the fit time they record, and either is a true
+measurement), so last-write-wins is harmless.
 
 The cache directory defaults to ``~/.cache/repro-splitmfg/features``
 and is overridden by the ``REPRO_CACHE_DIR`` environment variable or
@@ -69,16 +71,9 @@ CACHE_COUNTERS = (
     "put_bytes",
 )
 
-#: Entries whose arrays exceed this many bytes are not written (a single
-#: full-scale all-pairs candidate matrix stays well under it; the cap
-#: only guards pathological blowups).
+#: Entries whose arrays exceed this many bytes are not written (fitted
+#: models stay far below it; the cap only guards pathological blowups).
 MAX_ENTRY_BYTES = 256 * 1024 * 1024
-
-#: Total byte budget of one chunk-addressed entry family (index entry
-#: plus all of its chunk entries).  Chunked storage exists so a
-#: paper-scale candidate matrix never has to materialize in one piece
-#: -- on disk or in RAM -- but the disk footprint still needs a lid.
-MAX_CHUNKED_BYTES = 8 * MAX_ENTRY_BYTES
 
 
 def default_cache_dir() -> Path:
@@ -95,16 +90,18 @@ _fingerprint: str | None = None
 def code_fingerprint() -> str:
     """Digest of the sources that determine cached entry contents.
 
-    Covers pair featurization, sample generation, every classifier a
-    cached model may hold (the tree-training engine, the ensembles, the
-    alternative classifiers) and the backend layer with the tree-state
-    packing behind ``to_state`` (cache hits skip straight to model
-    fitting, or past it, so fit-path and serialization edits must also
-    invalidate); any edit to these modules changes every cache key,
-    which is the invalidation story.
+    Covers pair featurization, sample generation, the training driver
+    (backend parameter forwarding, the sampling/model seed split and the
+    "Y" limit), every classifier a cached model may hold (the
+    tree-training engine, the ensembles, the alternative classifiers)
+    and the backend layer with the tree-state packing behind
+    ``to_state`` (a hit skips past model fitting, so fit-path and
+    serialization edits must also invalidate); any edit to these
+    modules changes every cache key, which is the invalidation story.
     """
     global _fingerprint
     if _fingerprint is None:
+        from ..attack import framework
         from ..ml import (
             backends,
             bagging,
@@ -132,6 +129,7 @@ def code_fingerprint() -> str:
             mlp,
             backends,
             artifacts,
+            framework,
         ):
             digest.update(inspect.getsource(module).encode())
         _fingerprint = digest.hexdigest()[:16]
@@ -207,7 +205,7 @@ def view_content_hash(view: "SplitView") -> str:
 
 
 class FeatureCache:
-    """Directory of ``<key>.npz`` entries holding named float arrays.
+    """Directory of ``<key>.npz`` entries holding fitted-model arrays.
 
     Every hit/miss/put/eviction increments both an instance attribute
     (``cache.hits`` etc.) and a process-wide ``cache_*`` counter in the
@@ -311,12 +309,11 @@ class FeatureCache:
     def chunk_key(self, key: str, index: int) -> str:
         """Entry key of chunk ``index`` of the chunk-addressed family ``key``.
 
-        Chunk-addressed storage splits one logical entry (a paper-scale
-        candidate matrix) into per-chunk ``.npz`` files plus a small
-        index entry under the bare ``key`` naming how many chunks exist.
-        Writers store every chunk first and the index last (a crashed
-        or capped write leaves orphan chunks, never a dangling index);
-        readers treat a missing chunk as a miss of the whole family.
+        Nothing in the pipeline stores chunked entries any more.  The
+        three chunk methods remain only because the end-to-end
+        benchmark's tracer pins ``get_chunk``/``put_chunk`` as targets
+        (``benchmarks/e2e/layers.py``); they go once the benchmark
+        unpins them.
         """
         return f"{key}-chunk{index:06d}"
 

@@ -1,4 +1,4 @@
-"""Lightweight design-rule checks over routed designs.
+"""Lightweight design-rule checks over routed designs (a test helper).
 
 Not a sign-off DRC -- a structural sanity net for the synthetic
 generator and for anyone extending the router: direction legality,
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design import Design
-from .technology import Direction
+from repro.layout.design import Design
+from repro.layout.technology import Direction
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,20 @@
-"""Tests for the lightweight DRC checker."""
+"""Tests for the lightweight DRC checker, and of the generator through it."""
 
 import pytest
 
 from repro.layout.cells import make_standard_library
 from repro.layout.design import Design, Route, RouteSegment, Via
-from repro.layout.drc import (
+from repro.layout.geometry import Point, Rect
+from repro.layout.netlist import CellInstance, Net, Netlist, PinRef
+from repro.layout.technology import make_default_technology
+
+from .drc import (
     assert_clean,
     check_design,
     check_die_containment,
     check_direction_legality,
     check_via_landing,
 )
-from repro.layout.geometry import Point, Rect
-from repro.layout.netlist import CellInstance, Net, Netlist, PinRef
-from repro.layout.technology import make_default_technology
 
 
 def _one_net_design(route: Route) -> Design:
@@ -95,6 +96,11 @@ class TestWholeDesign:
         for rule, violations in check_design(small_design).items():
             assert violations == [], rule
         assert_clean(small_design)
+
+    def test_every_suite_design_is_clean(self, small_suite):
+        """The generator, not only the checker: every suite design passes."""
+        for design in small_suite:
+            assert_clean(design)
 
     def test_assert_clean_raises_with_preview(self):
         design = _one_net_design(

@@ -59,6 +59,7 @@ class TestCodeFingerprint:
     @pytest.mark.parametrize(
         "module",
         [
+            "repro.attack.framework",
             "repro.ml.bagging",
             "repro.ml.forest",
             "repro.ml.knn",
@@ -70,7 +71,7 @@ class TestCodeFingerprint:
         ],
     )
     def test_source_edit_changes_fingerprint(self, monkeypatch, module):
-        """Every module a cached matrix or model depends on is hashed."""
+        """Every module a cached model depends on is hashed."""
         import importlib
         import inspect
 

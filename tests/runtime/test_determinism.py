@@ -11,7 +11,7 @@ import pytest
 
 from repro.attack.config import IMP_9, ML_9
 from repro.attack.framework import evaluate_attack, run_loo, train_attack
-from repro.runtime import FeatureCache
+from repro.runtime import FeatureCache, set_default_cache
 
 
 def _assert_results_identical(first, second):
@@ -67,26 +67,46 @@ class TestCacheTransparency:
         train_attack(IMP_9, views8[:2], seed=1, cache=cache)
         assert cache.misses > misses  # different seed, different entry
 
-    def test_candidate_entries_shared_across_configs(self, views8, tmp_path):
-        """ML-9 and a same-rule config reuse each other's candidate matrix."""
-        cache = FeatureCache(tmp_path)
-        trained = train_attack(ML_9, views8[:2], seed=0, cache=cache)
-        evaluate_attack(trained, views8[2], cache=cache)
-        hits = cache.hits
-        retrained = train_attack(ML_9, views8[:2], seed=99, cache=cache)
-        evaluate_attack(retrained, views8[2], cache=cache)
-        assert cache.hits > hits
-
-    def test_mutated_view_misses(self, views8, tmp_path):
-        """In-place edits (via invalidate_cache) change the content hash."""
+    def test_mutated_view_misses(self, views8, tmp_path, monkeypatch):
+        """In-place edits (via invalidate_cache) change the model key."""
         import copy
 
+        from repro.ml.bagging import Bagging
+
         cache = FeatureCache(tmp_path)
-        trained = train_attack(IMP_9, views8[:2], seed=0, cache=cache)
-        evaluate_attack(trained, views8[2], cache=cache)
-        mutated = copy.deepcopy(views8[2])
+        fits = []
+        fit = Bagging.fit
+        monkeypatch.setattr(
+            Bagging, "fit", lambda self, X, y: fits.append(1) or fit(self, X, y)
+        )
+        train_attack(IMP_9, views8[:2], seed=0, cache=cache)
+        mutated = copy.deepcopy(views8[1])
         mutated.vpins[0].rc += 1.0
         mutated.invalidate_cache()
         misses = cache.misses
-        evaluate_attack(trained, mutated, cache=cache)
+        train_attack(IMP_9, [views8[0], mutated], seed=0, cache=cache)
         assert cache.misses > misses
+        assert len(fits) == 2
+
+    def test_run_loo_caches_fitted_models_only(self, views8, tmp_path):
+        """Training sets and candidate matrices are never entries."""
+        cache = FeatureCache(tmp_path)
+        run_loo(ML_9, views8, seed=3, cache=cache)
+        run_loo(IMP_9, views8, seed=3, cache=cache)
+        entries = cache.entries()
+        assert len(entries) == 2 * len(views8)
+        for path in entries:
+            with np.load(path) as data:
+                assert "params" in data.files, path.name
+
+    def test_evaluate_makes_no_cache_call(self, views8, tmp_path, monkeypatch):
+        cache = FeatureCache(tmp_path)
+        set_default_cache(cache)
+        trained = train_attack(IMP_9, views8[:2], seed=0)
+        calls = []
+        for name in ("get", "put", "get_chunk", "put_chunk"):
+            monkeypatch.setattr(
+                FeatureCache, name, lambda *a, _n=name, **k: calls.append(_n)
+            )
+        evaluate_attack(trained, views8[2])
+        assert calls == []

@@ -92,6 +92,25 @@ class TestParser:
         assert args.features == 9
         assert args.budget_mb is None
 
+    @pytest.mark.parametrize("alias", ["experiments", "run-all"])
+    def test_run_all_parsers_share_flags(self, alias):
+        """``repro run-all`` and ``python -m repro.experiments.run_all``
+        accept the same run flags, with the same defaults."""
+        from repro.experiments import run_all
+
+        flags = [
+            "--scale", "0.2", "--seed", "3", "--only", "table1", "figure4",
+            "--out", "report.txt", "--jobs", "2", "--manifest-dir", "runs",
+            "--no-manifest", "--no-cache", "--cache-dir", "cache",
+            "--resume", "--shard", "1/2", "--checkpoint-dir", "ckpt",
+            "--no-checkpoint", "--task-timeout", "5",
+        ]
+        for argv in ([], flags):
+            cli = vars(build_parser().parse_args([alias, *argv]))
+            module = vars(run_all.build_parser().parse_args(argv))
+            assert {k: cli[k] for k in module} == module
+        assert module["scale"] == 0.2 and module["no_cache"] is True
+
 
 class TestCommands:
     def test_generate_and_split(self, tmp_path, capsys):
