@@ -11,7 +11,8 @@ This module makes the model a first-class *backend*: a uniform contract
 * ``get_params()``         -- JSON-able constructor hyper-parameters,
   sufficient to rebuild an equivalent unfitted backend;
 * ``to_state()``           -- ``(arrays, params)``: every array the
-  forward pass reads plus JSON-able metadata;
+  forward pass reads plus JSON-able metadata (always including
+  ``n_features``);
 * ``from_state(arrays, params)`` -- exact inference round-trip:
   ``predict_proba`` of the restored backend is bit-identical.
 
@@ -19,7 +20,8 @@ plus a string-keyed registry (:func:`register_backend` /
 :func:`get_backend` / :func:`list_backends` / :func:`create_backend`).
 ``attack.framework`` resolves ``AttackConfig.backend`` through the
 registry, ``experiments.extension_classifiers`` builds its bake-off rows
-from it, and ``serve.artifacts`` serializes through ``to_state``; a new
+from it, and both model stores -- feature-cache entries and registry
+artifacts (``serve.artifacts``) -- persist exactly ``to_state``; a new
 model family plugs into all of them by registering one class.
 """
 
@@ -34,7 +36,18 @@ from .forest import RandomForest
 from .knn import KNNClassifier
 from .logistic import LogisticRegression
 from .mlp import MLPClassifier
-from .tree import DEFAULT_MAX_DEPTH, RandomTree
+from .tree import DEFAULT_MAX_DEPTH, _FrozenTree
+
+
+#: Stacked tree-node arrays of a tree-ensemble state, with their dtypes.
+_NODE_DTYPES = {
+    "feature": np.int64,
+    "threshold": np.float64,
+    "left": np.int64,
+    "right": np.int64,
+    "pos": np.float64,
+    "neg": np.float64,
+}
 
 
 class BackendError(ValueError):
@@ -47,8 +60,8 @@ class ClassifierBackend:
     Subclasses implement :meth:`build` (an unfitted underlying model for
     a seed) and :meth:`get_params`; ``fit``/``predict_proba`` delegate
     to the built model, which is exposed as ``model_`` so existing
-    code paths (artifacts, the stacked-tree engine) keep seeing the
-    concrete classifier classes.
+    code paths (the attack framework, the stacked-tree engine) keep
+    seeing the concrete classifier classes.
     """
 
     #: Registry key; set by each concrete backend.
@@ -149,54 +162,52 @@ def create_backend(name: str, **params: Any) -> ClassifierBackend:
 class _TreeEnsembleBackend(ClassifierBackend):
     """Shared serialization for Bagging-family backends.
 
-    ``to_state`` reuses the stacked node-array packing of
-    :class:`repro.serve.artifacts.ModelArtifact` (imported lazily; the
-    serve layer already imports ``repro.ml``), so backend state and the
-    on-disk v1 tree artifact format stay one and the same.
+    The state stacks every estimator's frozen node arrays
+    (``feature``/``threshold``/``left``/``right``/``pos``/``neg``, with
+    *local* child indices): tree ``t`` occupies
+    ``[offsets[t], offsets[t + 1])`` and ``priors[t]`` is its class
+    prior.  ``params`` is :meth:`get_params` plus ``n_features``.
     """
 
     #: Constructor keys ``from_state`` restores (subclass-specific).
     _INIT_KEYS: ClassVar[tuple[str, ...]] = ()
 
     def to_state(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-        if self.model_ is None:
+        if self.model_ is None or not self.model_.estimators_:
             raise RuntimeError("cannot serialize an unfitted backend")
-        from ..serve.artifacts import _NODE_KEYS, ModelArtifact
-
-        artifact = ModelArtifact.from_model(self.model_)
-        arrays = {key: getattr(artifact, key) for key in _NODE_KEYS}
-        arrays["offsets"] = artifact.offsets
-        arrays["priors"] = artifact.priors
-        params = dict(self.get_params())
-        params.update(
-            kind=artifact.kind,
-            estimator_kind=artifact.estimator_kind,
-            voting=artifact.voting,
-            estimator_params=artifact.estimator_params,
-            n_features=artifact.n_features,
-        )
+        trees = self.model_.estimators_
+        frozen = [tree._tree for tree in trees]
+        arrays = {
+            key: np.concatenate([getattr(f, key) for f in frozen])
+            for key in _NODE_DTYPES
+        }
+        offsets = np.zeros(len(frozen) + 1, dtype=np.int64)
+        np.cumsum([f.n_nodes for f in frozen], out=offsets[1:])
+        arrays["offsets"] = offsets
+        arrays["priors"] = np.array([tree._prior for tree in trees])
+        params = dict(self.get_params(), n_features=int(trees[0].n_features_))
         return arrays, params
 
     @classmethod
     def from_state(
         cls, arrays: dict[str, np.ndarray], params: dict[str, Any]
     ) -> "_TreeEnsembleBackend":
-        from ..serve.artifacts import _NODE_KEYS, ModelArtifact
-
-        artifact = ModelArtifact(
-            kind=params["kind"],
-            estimator_kind=params["estimator_kind"],
-            voting=params["voting"],
-            estimator_params=dict(params["estimator_params"]),
-            n_features=int(params["n_features"]),
-            offsets=np.asarray(arrays["offsets"]),
-            priors=np.asarray(arrays["priors"]),
-            **{key: np.asarray(arrays[key]) for key in _NODE_KEYS},
-        )
-        backend = cls(
-            **{key: params[key] for key in cls._INIT_KEYS if key in params}
-        )
-        backend.model_ = artifact.to_model()
+        backend = cls(**{key: params[key] for key in cls._INIT_KEYS})
+        # build() installs the backend's own (picklable) base factory.
+        model = backend.model_ = backend.build(0)
+        offsets = np.asarray(arrays["offsets"])
+        for t, prior in enumerate(np.asarray(arrays["priors"])):
+            lo, hi = int(offsets[t]), int(offsets[t + 1])
+            tree = model.base_factory(model.rng)
+            tree._tree = _FrozenTree(
+                **{
+                    key: np.asarray(arrays[key][lo:hi], dtype=dtype)
+                    for key, dtype in _NODE_DTYPES.items()
+                }
+            )
+            tree._prior = float(prior)
+            tree.n_features_ = int(params["n_features"])
+            model.estimators_.append(tree)
         return backend
 
 
@@ -304,7 +315,7 @@ class KNNBackend(ClassifierBackend):
             "mean": model._mean,
             "std": model._std,
         }
-        return arrays, dict(self.get_params())
+        return arrays, dict(self.get_params(), n_features=len(model._mean))
 
     @classmethod
     def from_state(
@@ -364,7 +375,7 @@ class LogisticBackend(ClassifierBackend):
             "mean": model._mean,
             "std": model._std,
         }
-        return arrays, dict(self.get_params())
+        return arrays, dict(self.get_params(), n_features=len(model.coef_))
 
     @classmethod
     def from_state(

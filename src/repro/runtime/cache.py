@@ -94,8 +94,8 @@ def code_fingerprint() -> str:
     (backend parameter forwarding, the sampling/model seed split and the
     "Y" limit), every classifier a cached model may hold (the
     tree-training engine, the ensembles, the alternative classifiers)
-    and the backend layer with the tree-state packing behind
-    ``to_state`` (a hit skips past model fitting, so fit-path and
+    and the backend layer, whose ``to_state``/``from_state`` decide what
+    a cached model holds (a hit skips past model fitting, so fit-path and
     serialization edits must also invalidate); any edit to these
     modules changes every cache key, which is the invalidation story.
     """
@@ -112,7 +112,6 @@ def code_fingerprint() -> str:
             mlp,
             tree,
         )
-        from ..serve import artifacts
         from ..splitmfg import featurize_engine, pair_features, sampling
 
         digest = hashlib.sha256()
@@ -128,7 +127,6 @@ def code_fingerprint() -> str:
             logistic,
             mlp,
             backends,
-            artifacts,
             framework,
         ):
             digest.update(inspect.getsource(module).encode())

@@ -11,8 +11,8 @@ production surface:
   small compiled kernel when a C compiler is available, with a pure-NumPy
   fallback), bit-identical to the per-estimator loop it replaces;
 * :mod:`repro.serve.artifacts` -- versioned, checksummed serialization of
-  trained ``REPTree``/``RandomTree``/``Bagging``/``RandomForest`` models
-  to compact ``.npz`` + JSON bundles (see ``ARTIFACTS.md``);
+  any fitted classifier backend: its ``to_state()`` arrays and params in
+  a compact ``.npz`` + JSON bundle (see ``ARTIFACTS.md``);
 * :mod:`repro.serve.registry`  -- a directory-backed model store with
   ``save``/``load``/``list``/``latest``, write-once model ids and
   integrity checks on load;
@@ -35,9 +35,7 @@ from .artifacts import (
     ArtifactError,
     ArtifactIntegrityError,
     ArtifactSchemaError,
-    MLPArtifact,
     ModelArtifact,
-    artifact_from_model,
     load_artifact,
 )
 from .batcher import BatcherClosedError, MicroBatcher
@@ -54,7 +52,6 @@ __all__ = [
     "AttackHTTPServer",
     "AttackService",
     "BatcherClosedError",
-    "MLPArtifact",
     "MicroBatcher",
     "ModelArtifact",
     "ModelNotFoundError",
@@ -62,7 +59,6 @@ __all__ = [
     "RegistryEntry",
     "SUPPORTED_SCHEMA_VERSIONS",
     "StackedEnsemble",
-    "artifact_from_model",
     "load_artifact",
     "make_server",
     "package_trained_attack",

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .artifacts import (
-    ArtifactError,
-    MLPArtifact,
-    ModelArtifact,
-    load_artifact,
-    read_manifest,
-)
+from .artifacts import ArtifactError, ModelArtifact, load_artifact, read_manifest
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_.]+")
 _ID_RE = re.compile(r"^(?P<name>.+)-v(?P<version>\d+)$")
@@ -137,7 +131,7 @@ class ModelRegistry:
 
     def save(
         self,
-        artifact: ModelArtifact | MLPArtifact,
+        artifact: ModelArtifact,
         name: str | None = None,
     ) -> RegistryEntry:
         """Store an artifact under the next free version of ``name``.
@@ -193,7 +187,7 @@ class ModelRegistry:
 
     def load(
         self, model_id: str | None = None
-    ) -> tuple[RegistryEntry, ModelArtifact | MLPArtifact]:
+    ) -> tuple[RegistryEntry, ModelArtifact]:
         """Resolve and load (with integrity verification) an artifact."""
         entry = self.resolve(model_id)
         return entry, load_artifact(entry.manifest_path)

@@ -30,17 +30,13 @@ from ..attack.framework import (
     DEFAULT_CHUNK_SIZE,
     TrainedAttack,
     evaluate_attack,
+    make_backend,
     train_attack,
 )
 from ..attack.topk import evaluate_attack_topk
 from ..splitmfg.challenge import challenge_from_dicts
 from ..splitmfg.split import SplitView
-from .artifacts import (
-    ArtifactError,
-    MLPArtifact,
-    ModelArtifact,
-    artifact_from_model,
-)
+from .artifacts import ArtifactError, ModelArtifact
 from .registry import ModelRegistry, RegistryEntry
 
 DEFAULT_THRESHOLD = 0.5
@@ -53,7 +49,7 @@ def package_trained_attack(
     trained: TrainedAttack,
     training_views: Sequence[SplitView] = (),
     extra_meta: dict[str, Any] | None = None,
-) -> ModelArtifact | MLPArtifact:
+) -> ModelArtifact:
     """Package a :class:`TrainedAttack` with everything serving needs.
 
     The metadata records the attack configuration (feature set id and
@@ -73,7 +69,9 @@ def package_trained_attack(
     if len(meta["split_layers"]) == 1:
         meta["split_layer"] = meta["split_layers"][0]
     meta.update(extra_meta or {})
-    return artifact_from_model(trained.model, meta=meta)
+    backend = make_backend(trained.config)
+    backend.model_ = trained.model
+    return ModelArtifact.from_backend(backend, meta=meta)
 
 
 def train_model(
@@ -81,7 +79,7 @@ def train_model(
     views: Sequence[SplitView],
     seed: int = 0,
     extra_meta: dict[str, Any] | None = None,
-) -> ModelArtifact | MLPArtifact:
+) -> ModelArtifact:
     """Train on *all* given views and package the result.
 
     Unlike the leave-one-out experiment driver, serving trains once on
@@ -91,9 +89,7 @@ def train_model(
     return package_trained_attack(trained, views, extra_meta=extra_meta)
 
 
-def restore_trained_attack(
-    artifact: ModelArtifact | MLPArtifact,
-) -> TrainedAttack:
+def restore_trained_attack(artifact: ModelArtifact) -> TrainedAttack:
     """Rebuild a :class:`TrainedAttack` from an artifact's metadata."""
     config_fields = artifact.meta.get("config")
     if not config_fields:
@@ -104,7 +100,7 @@ def restore_trained_attack(
     neighborhood = artifact.meta.get("neighborhood")
     return TrainedAttack(
         config=AttackConfig(**config_fields),
-        model=artifact.to_model(),
+        model=artifact.to_backend().model_,
         neighborhood=None if neighborhood is None else float(neighborhood),
         limit_axis=artifact.meta.get("limit_axis"),
         train_time=float(artifact.meta.get("train_time", 0.0)),

@@ -7,6 +7,8 @@ from repro.attack.config import IMP_9, ML_9
 from repro.attack.framework import train_attack
 from repro.attack.scale import evaluate_attack_scaled, shard_rows
 from repro.attack.topk import evaluate_attack_topk
+from repro.obs import get_registry
+from repro.runtime import FeatureCache
 
 
 class TestShardRows:
@@ -65,6 +67,26 @@ class TestEvaluateScaled:
         np.testing.assert_array_equal(serial.pair_j, pooled.pair_j)
         np.testing.assert_array_equal(serial.prob, pooled.prob)
         assert serial.n_pairs_evaluated == pooled.n_pairs_evaluated
+
+    def test_cache_restored_model_ships_to_pool(self, views8, tmp_path):
+        """A model restored from the feature cache pickles to pool
+        workers: no shard is retried or degraded to in-process."""
+        cache = FeatureCache(tmp_path)
+        fresh = train_attack(ML_9, views8[1:], seed=0, cache=cache)
+        restored = train_attack(ML_9, views8[1:], seed=0, cache=cache)
+        # A hit reports the stored fit time; a refit would measure anew.
+        assert restored.model is not fresh.model
+        assert restored.train_time == fresh.train_time
+        view = views8[0]
+        expected = evaluate_attack_scaled(fresh, view, k=6, n_shards=2, jobs=1)
+        get_registry().reset()
+        pooled = evaluate_attack_scaled(restored, view, k=6, n_shards=2, jobs=2)
+        counters = get_registry().snapshot()["counters"]
+        assert counters.get("task_retries", 0) == 0
+        assert counters.get("tasks_degraded_serial", 0) == 0
+        np.testing.assert_array_equal(expected.pair_i, pooled.pair_i)
+        np.testing.assert_array_equal(expected.pair_j, pooled.pair_j)
+        np.testing.assert_array_equal(expected.prob, pooled.prob)
 
     def test_sharding_preserves_pair_count(self, views8):
         trained = train_attack(ML_9, views8[1:], seed=0)

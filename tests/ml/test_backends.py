@@ -8,6 +8,7 @@ covered (or loudly missing from ``SMALL_PARAMS``) automatically.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -148,6 +149,11 @@ class TestBackendContract:
         Xt = np.random.default_rng(9).normal(size=(64, X.shape[1]))
         np.testing.assert_array_equal(
             backend.predict_proba(Xt), restored.predict_proba(Xt)
+        )
+        # Restored models ship to pool workers, so they must pickle.
+        shipped = pickle.loads(pickle.dumps(restored.model_))
+        np.testing.assert_array_equal(
+            restored.predict_proba(Xt), shipped.predict_proba(Xt)
         )
 
     def test_fit_returns_self(self, name, problem):

@@ -66,7 +66,6 @@ class TestCodeFingerprint:
             "repro.ml.logistic",
             "repro.ml.tree",
             "repro.ml.backends",
-            "repro.serve.artifacts",
             "repro.splitmfg.sampling",
         ],
     )

@@ -1,6 +1,8 @@
 """Artifact round-trip tests (property-based) and corruption handling."""
 
 import json
+import pickle
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -9,33 +11,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.bagging import Bagging
-from repro.ml.forest import RandomForest
+from repro.ml.backends import ClassifierBackend, create_backend
+from repro.ml.bagging import Bagging, REPTreeFactory
 from repro.ml.mlp import MLPClassifier
-from repro.ml.tree import RandomTree, REPTree
 from repro.serve.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
     ArtifactError,
     ArtifactIntegrityError,
     ArtifactSchemaError,
-    MLPArtifact,
     ModelArtifact,
-    artifact_from_model,
     load_artifact,
     load_model,
     read_manifest,
     save_model,
 )
 
-MODEL_FACTORIES = {
-    "reptree": lambda seed: REPTree(seed=seed, max_depth=6),
-    "randomtree": lambda seed: RandomTree(seed=seed, max_depth=6),
-    "bagging": lambda seed: Bagging(n_estimators=3, seed=seed),
-    "bagging-hard": lambda seed: Bagging(n_estimators=3, seed=seed, voting="hard"),
-    "randomforest": lambda seed: RandomForest(n_estimators=4, seed=seed),
-    "mlp": lambda seed: MLPClassifier(
-        hidden_layers=(4,), max_epochs=5, batch_size=32, seed=seed
+#: Schema-v2 bundles written by the last v2 writer, plus their expected
+#: ``predict_proba`` on a fixed ``X`` (``expected_proba.npz``).
+V2_FIXTURES = Path(__file__).parent / "fixtures" / "v2"
+
+BACKEND_FACTORIES = {
+    "bagging": lambda: create_backend("bagging", n_estimators=3),
+    "bagging-hard": lambda: create_backend("bagging", n_estimators=3, voting="hard"),
+    "bagging-randomtree": lambda: create_backend(
+        "bagging", n_estimators=3, base="randomtree"
+    ),
+    "randomforest": lambda: create_backend("randomforest", n_estimators=4),
+    "knn": lambda: create_backend("knn", k=3),
+    "logistic": lambda: create_backend("logistic", iterations=30),
+    "mlp": lambda: create_backend(
+        "mlp", hidden_layers=(4,), max_epochs=5, batch_size=32
     ),
 }
 
@@ -44,64 +50,67 @@ def _fit(kind, seed, n, n_features):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, n_features))
     y = (X[:, 0] + 0.3 * rng.normal(size=n) > 0).astype(float)
-    return MODEL_FACTORIES[kind](seed).fit(X, y), rng.normal(size=(64, n_features))
+    backend = BACKEND_FACTORIES[kind]().fit(X, y, seed=seed)
+    return backend, rng.normal(size=(64, n_features))
 
 
 class TestRoundTrip:
     @settings(max_examples=8, deadline=None)
     @given(
-        kind=st.sampled_from(sorted(MODEL_FACTORIES)),
+        kind=st.sampled_from(sorted(BACKEND_FACTORIES)),
         seed=st.integers(0, 10_000),
         n=st.integers(20, 120),
         n_features=st.integers(2, 9),
     )
     def test_predict_proba_survives_round_trip(self, kind, seed, n, n_features):
-        model, Xt = _fit(kind, seed, n, n_features)
+        backend, Xt = _fit(kind, seed, n, n_features)
         with tempfile.TemporaryDirectory() as tmp:
-            save_model(model, Path(tmp) / "m", meta={"seed": seed})
+            save_model(backend, Path(tmp) / "m", meta={"seed": seed})
             restored = load_model(Path(tmp) / "m.json")
-        assert type(restored) is type(model)
-        assert np.array_equal(model.predict_proba(Xt), restored.predict_proba(Xt))
+        assert type(restored) is type(backend)
+        assert type(restored.model_) is type(backend.model_)
+        assert np.array_equal(backend.predict_proba(Xt), restored.predict_proba(Xt))
 
     def test_round_trip_preserves_structure_and_meta(self, tmp_path):
-        model, _ = _fit("bagging", 3, 80, 5)
+        backend, _ = _fit("bagging", 3, 80, 5)
         meta = {"config": {"name": "Imp-11"}, "split_layer": 8}
-        manifest = save_model(model, tmp_path / "m", meta=meta)
-        assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION
+        manifest = save_model(backend, tmp_path / "m", meta=meta)
+        assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION == 3
         assert manifest["kind"] == "bagging"
+        assert manifest["params"] == {
+            "n_estimators": 3,
+            "voting": "soft",
+            "base": "reptree",
+            "n_features": 5,
+        }
         assert manifest["n_estimators"] == 3
+        assert manifest["n_features"] == 5
         artifact = load_artifact(tmp_path / "m.json")
         assert artifact.meta == meta
-        assert artifact.voting == "soft"
-        restored = artifact.to_model()
+        assert set(artifact.arrays) == {
+            "feature", "threshold", "left", "right", "pos", "neg",
+            "offsets", "priors",
+        }
+        restored = artifact.to_backend().model_
+        assert restored.voting == "soft"
+        assert isinstance(restored.base_factory, REPTreeFactory)
         assert len(restored.estimators_) == 3
-        for original, loaded in zip(model.estimators_, restored.estimators_):
+        for original, loaded in zip(backend.model_.estimators_, restored.estimators_):
             assert original._prior == loaded._prior
             assert np.array_equal(original._tree.threshold, loaded._tree.threshold)
 
     def test_hard_voting_survives(self, tmp_path):
-        model, Xt = _fit("bagging-hard", 5, 60, 4)
-        save_model(model, tmp_path / "m")
+        backend, Xt = _fit("bagging-hard", 5, 60, 4)
+        save_model(backend, tmp_path / "m")
         restored = load_model(tmp_path / "m.json")
-        assert restored.voting == "hard"
-        assert np.array_equal(model.predict_proba(Xt), restored.predict_proba(Xt))
-
-    def test_reptree_hyperparams_survive(self, tmp_path):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(50, 3))
-        y = (X[:, 0] > 0).astype(float)
-        model = REPTree(seed=0, max_depth=4, min_samples_leaf=3, num_folds=4).fit(X, y)
-        save_model(model, tmp_path / "m")
-        restored = load_model(tmp_path / "m.json")
-        assert restored.max_depth == 4
-        assert restored.min_samples_leaf == 3
-        assert restored.num_folds == 4
+        assert restored.model_.voting == "hard"
+        assert np.array_equal(backend.predict_proba(Xt), restored.predict_proba(Xt))
 
 
 class TestRejection:
     def _saved(self, tmp_path):
-        model, _ = _fit("bagging", 1, 50, 4)
-        save_model(model, tmp_path / "m")
+        backend, _ = _fit("bagging", 1, 50, 4)
+        save_model(backend, tmp_path / "m")
         return tmp_path / "m.json", tmp_path / "m.npz"
 
     def test_corrupted_payload_is_rejected(self, tmp_path):
@@ -145,32 +154,43 @@ class TestRejection:
             read_manifest(bad)
 
     def test_unfitted_model_cannot_be_packaged(self):
-        with pytest.raises(ArtifactError):
-            ModelArtifact.from_model(Bagging(n_estimators=3))
-        with pytest.raises(ArtifactError):
-            ModelArtifact.from_model(REPTree())
+        with pytest.raises(ArtifactError, match="cannot package"):
+            ModelArtifact.from_backend(create_backend("bagging", n_estimators=3))
+        built = create_backend("bagging", n_estimators=3)
+        built.model_ = built.build(0)
+        with pytest.raises(ArtifactError, match="cannot package"):
+            ModelArtifact.from_backend(built)
 
-    def test_unsupported_model_type(self):
-        with pytest.raises(ArtifactError, match="unsupported model type"):
-            ModelArtifact.from_model(object())
+    def test_unsupported_model_type(self, tmp_path):
+        class Stateless(ClassifierBackend):
+            name = "stateless"
+
+        with pytest.raises(ArtifactError, match="cannot package backend 'stateless'"):
+            ModelArtifact.from_backend(Stateless())
+        json_path, _ = self._saved(tmp_path)
+        manifest = json.loads(json_path.read_text())
+        manifest["kind"] = "weka"
+        json_path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactSchemaError, match="weka"):
+            load_model(json_path)
 
 
 def _fit_mlp(seed=0, n=90, n_features=5):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, n_features))
     y = (X[:, 0] > 0).astype(float)
-    model = MLPClassifier(
-        hidden_layers=(6, 4), max_epochs=6, batch_size=32, seed=seed
-    ).fit(X, y)
-    return model, rng.normal(size=(64, n_features))
+    backend = create_backend(
+        "mlp", hidden_layers=(6, 4), max_epochs=6, batch_size=32
+    ).fit(X, y, seed=seed)
+    return backend, rng.normal(size=(64, n_features))
 
 
 class TestMLPArtifacts:
     def test_manifest_fields(self, tmp_path):
-        model, _ = _fit_mlp()
+        backend, _ = _fit_mlp()
         meta = {"config": {"name": "Imp-9+mlp"}, "split_layer": 6}
-        manifest = save_model(model, tmp_path / "m", meta=meta)
-        assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION == 2
+        manifest = save_model(backend, tmp_path / "m", meta=meta)
+        assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION
         assert manifest["kind"] == "mlp"
         assert manifest["n_estimators"] == 1
         assert manifest["n_features"] == 5
@@ -179,10 +199,10 @@ class TestMLPArtifacts:
         json.dumps(manifest)  # fully JSON-able
 
     def test_load_returns_mlp_artifact(self, tmp_path):
-        model, _ = _fit_mlp()
-        save_model(model, tmp_path / "m")
+        backend, _ = _fit_mlp()
+        save_model(backend, tmp_path / "m")
         artifact = load_artifact(tmp_path / "m.json")
-        assert isinstance(artifact, MLPArtifact)
+        assert isinstance(artifact, ModelArtifact)
         assert artifact.kind == "mlp"
         assert artifact.n_estimators == 1
         assert set(artifact.arrays) >= {"mean", "std", "W0", "b0", "W1", "b1"}
@@ -198,19 +218,19 @@ class TestMLPArtifacts:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, n_features))
         y = (X[:, 0] > 0).astype(float)
-        model = MLPClassifier(
-            hidden_layers=tuple(hidden), max_epochs=4, batch_size=16, seed=seed
-        ).fit(X, y)
+        backend = create_backend(
+            "mlp", hidden_layers=tuple(hidden), max_epochs=4, batch_size=16
+        ).fit(X, y, seed=seed)
         Xt = rng.normal(size=(48, n_features))
         with tempfile.TemporaryDirectory() as tmp:
-            save_model(model, Path(tmp) / "m", meta={"seed": seed})
+            save_model(backend, Path(tmp) / "m", meta={"seed": seed})
             restored = load_model(Path(tmp) / "m.json")
-        assert type(restored) is MLPClassifier
-        assert np.array_equal(model.predict_proba(Xt), restored.predict_proba(Xt))
+        assert type(restored.model_) is MLPClassifier
+        assert np.array_equal(backend.predict_proba(Xt), restored.predict_proba(Xt))
 
     def test_corrupted_mlp_payload_is_rejected(self, tmp_path):
-        model, _ = _fit_mlp()
-        save_model(model, tmp_path / "m")
+        backend, _ = _fit_mlp()
+        save_model(backend, tmp_path / "m")
         npz_path = tmp_path / "m.npz"
         payload = bytearray(npz_path.read_bytes())
         payload[len(payload) // 2] ^= 0xFF
@@ -219,57 +239,106 @@ class TestMLPArtifacts:
             load_artifact(tmp_path / "m.json")
 
     def test_missing_weight_array_is_schema_error(self, tmp_path):
-        model, _ = _fit_mlp()
-        artifact = artifact_from_model(model)
+        backend, _ = _fit_mlp()
+        artifact = ModelArtifact.from_backend(backend)
         del artifact.arrays["W0"]
         with pytest.raises(ArtifactSchemaError, match="mlp"):
-            artifact.to_model()
+            artifact.to_backend()
 
     def test_backend_wrapper_unwraps_to_mlp_artifact(self):
-        from repro.ml.backends import create_backend
-
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(80, 3))
-        y = (X[:, 0] > 0).astype(float)
-        backend = create_backend(
-            "mlp", hidden_layers=(4,), max_epochs=4
-        ).fit(X, y, seed=1)
-        artifact = artifact_from_model(backend, meta={"via": "backend"})
-        assert isinstance(artifact, MLPArtifact)
+        backend, Xt = _fit_mlp(seed=4)
+        artifact = ModelArtifact.from_backend(backend, meta={"via": "backend"})
+        arrays, params = backend.to_state()
+        assert artifact.kind == "mlp"
+        assert artifact.params == params
+        assert set(artifact.arrays) == set(arrays)
         np.testing.assert_array_equal(
-            backend.predict_proba(X), artifact.to_model().predict_proba(X)
+            backend.predict_proba(Xt), artifact.to_backend().predict_proba(Xt)
         )
 
 
-class TestBackwardCompat:
-    """v1 (tree-only) artifacts must load and score bit-identically."""
+def _v2_fixture(name, tmp_path, version=2):
+    """Copy a committed v2 bundle into ``tmp_path``, relabelled as
+    ``version``; returns the manifest path."""
+    for suffix in (".json", ".npz"):
+        shutil.copy(V2_FIXTURES / f"{name}{suffix}", tmp_path / f"{name}{suffix}")
+    json_path = tmp_path / f"{name}.json"
+    manifest = json.loads(json_path.read_text())
+    assert manifest["schema_version"] == 2
+    manifest["schema_version"] = version
+    json_path.write_text(json.dumps(manifest))
+    return json_path
 
-    def _downgrade(self, json_path):
-        manifest = json.loads(json_path.read_text())
-        manifest["schema_version"] = 1
-        json_path.write_text(json.dumps(manifest))
-        return manifest
+
+class TestBackwardCompat:
+    """v1/v2 ensemble and v2 mlp bundles load and score bit-identically."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        with np.load(V2_FIXTURES / "expected_proba.npz") as stored:
+            return {key: stored[key] for key in stored.files}
 
     def test_supported_versions(self):
-        assert SUPPORTED_SCHEMA_VERSIONS == (1, 2)
+        assert SUPPORTED_SCHEMA_VERSIONS == (1, 2, 3)
         assert ARTIFACT_SCHEMA_VERSION in SUPPORTED_SCHEMA_VERSIONS
 
-    @pytest.mark.parametrize("kind", ["bagging", "randomforest", "reptree"])
-    def test_v1_tree_artifact_loads_bit_identically(self, kind, tmp_path):
-        model, Xt = _fit(kind, 6, 70, 4)
-        save_model(model, tmp_path / "m", meta={"legacy": True})
-        self._downgrade(tmp_path / "m.json")
-        manifest = read_manifest(tmp_path / "m.json")  # v1 accepted
-        assert manifest["schema_version"] == 1
-        restored = load_model(tmp_path / "m.json")
-        assert type(restored) is type(model)
-        assert np.array_equal(model.predict_proba(Xt), restored.predict_proba(Xt))
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("bagging", "bagging"),
+            ("bagging_randomtree_hard", "bagging"),
+            ("randomforest", "randomforest"),
+            ("mlp", "mlp"),
+        ],
+    )
+    def test_v2_bundle_loads_bit_identically(self, name, kind, expected):
+        manifest = read_manifest(V2_FIXTURES / f"{name}.json")
+        assert manifest["schema_version"] == 2
+        assert manifest["params"]["n_features"] == 5
+        backend = load_model(V2_FIXTURES / f"{name}.json")
+        assert backend.name == kind
+        assert np.array_equal(backend.predict_proba(expected["X"]), expected[name])
+        # A restored model ships to pool workers, so it must pickle.
+        shipped = pickle.loads(pickle.dumps(backend.model_))
+        assert np.array_equal(shipped.predict_proba(expected["X"]), expected[name])
+
+    def test_v2_params_come_from_the_old_fields(self):
+        assert read_manifest(V2_FIXTURES / "bagging_randomtree_hard.json")[
+            "params"
+        ] == {"n_estimators": 3, "voting": "hard", "base": "randomtree", "n_features": 5}
+        assert read_manifest(V2_FIXTURES / "randomforest.json")["params"] == {
+            "n_estimators": 4,
+            "max_depth": 6,
+            "min_samples_leaf": 1,
+            "n_features": 5,
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["bagging", "bagging_randomtree_hard", "randomforest"]
+    )
+    def test_v1_tree_artifact_loads_bit_identically(self, kind, expected, tmp_path):
+        json_path = _v2_fixture(kind, tmp_path, version=1)
+        assert read_manifest(json_path)["schema_version"] == 1  # v1 accepted
+        restored = load_model(json_path)
+        assert isinstance(restored.model_, Bagging)
+        assert np.array_equal(restored.predict_proba(expected["X"]), expected[kind])
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_single_tree_bundles_are_rejected(self, version, tmp_path):
+        json_path = _v2_fixture("reptree", tmp_path, version=version)
+        with pytest.raises(ArtifactSchemaError, match="'reptree'"):
+            read_manifest(json_path)
+        with pytest.raises(ArtifactSchemaError):
+            load_artifact(json_path)
+        manifest = json.loads(json_path.read_text())
+        manifest["kind"] = "randomtree"
+        json_path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactSchemaError, match="'randomtree'"):
+            load_artifact(json_path)
 
     def test_v1_manifest_cannot_claim_mlp(self, tmp_path):
-        model, _ = _fit_mlp()
-        save_model(model, tmp_path / "m")
-        self._downgrade(tmp_path / "m.json")
-        with pytest.raises(ArtifactSchemaError, match="schema version >= 2"):
-            read_manifest(tmp_path / "m.json")
+        json_path = _v2_fixture("mlp", tmp_path, version=1)
+        with pytest.raises(ArtifactSchemaError, match="version 1 'mlp'"):
+            read_manifest(json_path)
         with pytest.raises(ArtifactSchemaError):
-            load_artifact(tmp_path / "m.json")
+            load_artifact(json_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.bagging import Bagging
+from repro.ml.backends import create_backend
 from repro.serve.artifacts import ModelArtifact
 from repro.serve.registry import ModelNotFoundError, ModelRegistry, _sanitize_name
 
@@ -12,8 +12,8 @@ def _artifact(seed=0, meta=None):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(60, 4))
     y = (X[:, 0] > 0).astype(float)
-    model = Bagging(n_estimators=2, seed=seed).fit(X, y)
-    return ModelArtifact.from_model(model, meta=meta)
+    backend = create_backend("bagging", n_estimators=2).fit(X, y, seed=seed)
+    return ModelArtifact.from_backend(backend, meta=meta)
 
 
 class TestVersioning:
@@ -85,7 +85,9 @@ class TestLoad:
         entry, artifact = registry.load("m")
         assert entry.model_id == saved.model_id
         assert artifact.meta["split_layer"] == 8
-        assert np.array_equal(artifact.threshold, original.threshold)
+        assert np.array_equal(
+            artifact.arrays["threshold"], original.arrays["threshold"]
+        )
 
     def test_unreadable_manifests_are_skipped(self, tmp_path):
         registry = ModelRegistry(tmp_path)

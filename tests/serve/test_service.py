@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.attack.config import CONFIGS_BY_NAME
-from repro.attack.framework import evaluate_attack, train_attack
+from repro.attack.framework import evaluate_attack, make_backend, train_attack
+from repro.ml.backends import list_backends
 from repro.serve.artifacts import ArtifactError, ModelArtifact
 from repro.serve import service as service_module
 from repro.serve.registry import ModelNotFoundError, ModelRegistry
@@ -15,6 +16,7 @@ from repro.serve.service import (
     train_model,
 )
 from repro.splitmfg.challenge import challenge_to_dict
+from tests.ml.test_backends import SMALL_PARAMS
 
 CONFIG = CONFIGS_BY_NAME["Imp-11"]
 
@@ -58,7 +60,9 @@ class TestPackaging:
         assert np.array_equal(direct.pair_i, served.pair_i)
 
     def test_restore_requires_config_metadata(self, trained):
-        bare = ModelArtifact.from_model(trained.model)
+        backend = make_backend(trained.config)
+        backend.model_ = trained.model
+        bare = ModelArtifact.from_backend(backend)
         with pytest.raises(ArtifactError, match="configuration metadata"):
             restore_trained_attack(bare)
 
@@ -140,3 +144,29 @@ class TestPredict:
             service._load(f"m-v{version:04d}")
         assert len(service._cache) == 2
         assert "m-v0001" not in service._cache
+
+
+@pytest.mark.parametrize("backend", list_backends())
+def test_every_backend_is_served_bit_identically(backend, views6, tmp_path):
+    """train_model -> registry -> AttackService scores exactly what the
+    in-memory attack scores, for every registered backend."""
+    config = CONFIG.with_backend(backend, **SMALL_PARAMS[backend])
+    registry = ModelRegistry(tmp_path)
+    entry = registry.save(train_model(config, views6[1:], seed=0))
+    assert entry.kind == backend
+    view = views6[0]
+    response = AttackService(registry).predict(
+        challenge_to_dict(view), model_id=entry.model_id, threshold=0.0
+    )
+    served = {
+        (min(doc["vpin"], c["partner"]), max(doc["vpin"], c["partner"])): c["prob"]
+        for doc in response["locs"]
+        for c in doc["candidates"]
+    }
+    direct = evaluate_attack(train_attack(config, views6[1:], seed=0), view)
+    expected = {
+        (int(i), int(j)): float(p)
+        for i, j, p in zip(direct.pair_i, direct.pair_j, direct.prob)
+    }
+    assert response["n_pairs_evaluated"] == direct.n_pairs_evaluated
+    assert served == expected
