@@ -41,6 +41,8 @@ from .proximity import (
     DEFAULT_PA_FRACTIONS,
     ValidatedPA,
     pa_success_rate,
+    pa_success_rates,
+    proximity_picks,
     run_validated_pa,
     validate_pa_fraction,
 )
@@ -100,6 +102,8 @@ __all__ = [
     "naive_nearest_pa",
     "obfuscate_suite",
     "pa_success_rate",
+    "pa_success_rates",
+    "proximity_picks",
     "recover_from_matching",
     "recover_from_proximity",
     "run_loo",

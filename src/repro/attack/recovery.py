@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..splitmfg.split import SplitView
+from .proximity import proximity_picks
 from .result import AttackResult
 
 
@@ -102,30 +103,12 @@ def recover_from_proximity(
 ) -> RecoveryReport:
     """Reconstruct via independent proximity picks and score them.
 
-    Unlike matching, proximity picks need not be mutually consistent --
-    two v-pins can claim the same partner -- which is precisely what this
-    evaluation exposes at the net level.
+    Every v-pin takes its proximity-attack pick (:func:`proximity_picks`:
+    nearest, then most probable, then ``rng``).  Unlike matching,
+    proximity picks need not be mutually consistent -- two v-pins can
+    claim the same partner -- which is precisely what this evaluation
+    exposes at the net level.
     """
-    rng = rng or np.random.default_rng(0)
-    view = result.view
-    arr = view.arrays()
-    candidates = result.per_vpin_candidates()
-    n = result.n_vpins
-    assignment: dict[int, int] = {}
-    for vpin in view.vpins:
-        partners, probs = candidates[vpin.id]
-        if len(partners) == 0:
-            continue
-        k = max(1, int(round(pa_fraction * n)))
-        if k < len(partners):
-            top = np.argpartition(probs, -k)[-k:]
-            partners, probs = partners[top], probs[top]
-        distance = np.abs(arr["vx"][partners] - arr["vx"][vpin.id]) + np.abs(
-            arr["vy"][partners] - arr["vy"][vpin.id]
-        )
-        nearest = np.nonzero(distance == distance.min())[0]
-        pick = int(nearest[rng.integers(len(nearest))]) if len(nearest) > 1 else int(nearest[0])
-        assignment[vpin.id] = int(partners[pick])
-    # Keep only reciprocal-or-first entries: an assignment dict maps each
-    # id to exactly one guess; scoring treats pairs as unordered.
-    return score_assignment(view, assignment)
+    picks = proximity_picks(result, pa_fraction=pa_fraction, rng=rng)
+    assignment = {v: int(pick) for v, pick in enumerate(picks) if pick >= 0}
+    return score_assignment(result.view, assignment)

@@ -37,6 +37,9 @@ class AttackResult:
     n_pairs_evaluated: int = 0
     _cover_p: np.ndarray | None = field(default=None, repr=False)
     _is_match: np.ndarray | None = field(default=None, repr=False)
+    _csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False
+    )
     _groups: list[tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False
     )
@@ -48,19 +51,7 @@ class AttackResult:
     def is_match(self) -> np.ndarray:
         """Boolean array: whether each recorded pair is a true match."""
         if self._is_match is None:
-            n = self.n_vpins
-            match_keys = np.array(
-                [
-                    min(v.id, m) * n + max(v.id, m)
-                    for v in self.view.vpins
-                    for m in v.matches
-                    if v.id < m
-                ],
-                dtype=np.int64,
-            )
-            lo = np.minimum(self.pair_i, self.pair_j).astype(np.int64)
-            hi = np.maximum(self.pair_i, self.pair_j).astype(np.int64)
-            self._is_match = np.isin(lo * n + hi, match_keys)
+            self._is_match = self.view.are_matches(self.pair_i, self.pair_j)
         return self._is_match
 
     @property
@@ -193,27 +184,43 @@ class AttackResult:
     # Per-v-pin adjacency (for the proximity attack)
     # ------------------------------------------------------------------
 
+    def grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every v-pin's candidates as one CSR layout ``(offsets, partners, probs)``.
+
+        V-pin ``v``'s partners are ``partners[offsets[v]:offsets[v + 1]]``
+        with their pair probabilities at the same positions, in pair
+        order (a pair ``(v, v)`` lists ``v`` twice); the proximity
+        attack's top-K boundary and tie-breaks depend on that order.
+        Built once per result with one stable sort over the interleaved
+        owners ``(i0, j0, i1, j1, ...)`` -- a radix sort on 16-bit keys
+        when the ids fit -- and the arrays are read-only.
+        """
+        if self._csr is None:
+            owners = np.column_stack([self.pair_i, self.pair_j]).ravel()
+            partners = np.column_stack([self.pair_j, self.pair_i]).ravel()
+            keys = owners.astype(np.uint16) if self.n_vpins <= 1 << 16 else owners
+            order = np.argsort(keys, kind="stable")
+            partners = partners[order].astype(int)
+            probs = np.repeat(np.asarray(self.prob, np.float64), 2)[order]
+            offsets = np.zeros(self.n_vpins + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(owners.astype(np.int64), minlength=self.n_vpins),
+                out=offsets[1:],
+            )
+            for array in (offsets, partners, probs):
+                array.flags.writeable = False
+            self._csr = (offsets, partners, probs)
+        return self._csr
+
     def per_vpin_candidates(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """For each v-pin, its (partner ids, pair probabilities).
 
-        Partners appear in pair order (a pair ``(v, v)`` lists ``v``
-        twice); the proximity attack's top-K boundary and tie-breaks
-        depend on that order.  Built once per result with one stable
-        sort over the interleaved owners ``(i0, j0, i1, j1, ...)``; the
-        arrays are read-only views shared by every caller.
+        Views into :meth:`grouped`'s arrays, built once per result and
+        shared by every caller.
         """
         if self._groups is None:
-            owners = np.column_stack([self.pair_i, self.pair_j]).ravel()
-            partners = np.column_stack([self.pair_j, self.pair_i]).ravel()
-            order = np.argsort(owners, kind="stable")
-            partners = partners[order].astype(int)
-            probs = np.repeat(np.asarray(self.prob, np.float64), 2)[order]
-            partners.flags.writeable = False
-            probs.flags.writeable = False
-            counts = np.bincount(
-                owners.astype(np.int64), minlength=self.n_vpins
-            )
-            bounds = [0, *np.cumsum(counts).tolist()]
+            offsets, partners, probs = self.grouped()
+            bounds = offsets.tolist()
             self._groups = [
                 (partners[lo:hi], probs[lo:hi])
                 for lo, hi in zip(bounds[:-1], bounds[1:])

@@ -7,6 +7,7 @@ the top-layer coordinate limit of Section III-G ("Y" configurations).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
@@ -146,12 +147,29 @@ class NeighborhoodIndex:
         self._points = np.column_stack([arr["vx"], arr["vy"]])
         self._tree = cKDTree(self._points) if len(view) else None
 
-    def neighbors_of(self, i: int) -> np.ndarray:
-        """Indices (excluding ``i``) within L1 ``radius`` of v-pin ``i``."""
-        if self._tree is None:
-            return np.zeros(0, dtype=int)
-        found = self._tree.query_ball_point(self._points[i], r=self.radius, p=1)
-        return np.array([k for k in found if k != i], dtype=int)
+    def neighbors(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor lists of ``owners`` as CSR ``(offsets, flat)``.
+
+        Owner ``k``'s neighbors -- the v-pins other than ``owners[k]``
+        within L1 ``radius`` of it -- are ``flat[offsets[k]:offsets[k+1]]``,
+        in the KD tree's own order.  One multi-point query; unsorted, it
+        lists each point's neighbors in the order a single-point query
+        does, which the samplers' draws index into.
+        """
+        offsets = np.zeros(len(owners) + 1, dtype=np.int64)
+        if self._tree is None or len(owners) == 0:
+            return offsets, np.zeros(0, dtype=np.int64)
+        found = self._tree.query_ball_point(
+            self._points[owners], r=self.radius, p=1, return_sorted=False
+        )
+        lengths = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+        flat = np.fromiter(
+            itertools.chain.from_iterable(found), dtype=np.int64, count=int(lengths.sum())
+        )
+        rows = np.repeat(np.arange(len(owners)), lengths)
+        keep = flat != np.asarray(owners)[rows]
+        np.cumsum(np.bincount(rows[keep], minlength=len(owners)), out=offsets[1:])
+        return offsets, flat[keep]
 
     def candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All legal pairs within the L1 radius, as index arrays i < j."""
@@ -231,50 +249,48 @@ def neighborhood_negative_pairs(
     pool = np.arange(n) if allowed is None else np.nonzero(allowed)[0]
     if len(pool) < 2:
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    # Directed (i -> j) codes of all true matches, for a vectorized
-    # equivalent of the per-candidate ``_is_match`` probe.
-    match_codes = np.sort(np.array(
-        [i * n + j for i, vpin in enumerate(view.vpins) for j in vpin.matches],
-        dtype=np.int64,
-    ))
-    out_i: list[int] = []
-    out_j: list[int] = []
+    out_lo: list[np.ndarray] = []
+    out_hi: list[np.ndarray] = []
+    accepted = 0
+    seen = np.zeros(0, dtype=np.int64)
     tries = 0
     limit = count * max_tries_factor
-    seen: set[int] = set()
-    neighbor_cache: dict[int, np.ndarray] = {}
-    # The seed implementation drew one (i, then j | i) candidate per
-    # iteration and rejected matches / out-area pairs / duplicates.
-    # Drawing the same independent candidates in vector batches keeps the
-    # per-candidate acceptance process identical (each candidate is still
-    # i ~ uniform(pool), j ~ uniform(filtered neighbors of i)); only the
-    # generator's draw sequence differs, so outputs are equal in
-    # distribution rather than bit-equal to the seed's loop.
-    while len(out_i) < count and tries < limit:
-        batch = int(min(limit - tries, max(128, count - len(out_i))))
+    # Filtered neighbor lists of the owners drawn so far, as one flat
+    # array: v-pin i's are flat[start[i]:start[i] + size[i]] once
+    # ``queried[i]``.
+    queried = np.zeros(n, dtype=bool)
+    start = np.zeros(n, dtype=np.int64)
+    size = np.zeros(n, dtype=np.int64)
+    flat = np.zeros(0, dtype=np.int64)
+    # Each batch draws its candidates (i ~ uniform(pool), then
+    # j ~ uniform(filtered neighbors of i)) up front and rejects matches,
+    # out-area pairs and duplicates, accepting in draw order.
+    while accepted < count and tries < limit:
+        batch = int(min(limit - tries, max(128, count - accepted)))
         tries += batch
         ii = pool[rng.integers(len(pool), size=batch)]
         u = rng.random(batch)
-        jj = np.full(batch, -1, dtype=np.int64)
-        for i in np.unique(ii):
-            neighbors = neighbor_cache.get(i)
-            if neighbors is None:
-                neighbors = index.neighbors_of(i)
-                if allowed is not None and len(neighbors):
-                    neighbors = neighbors[allowed[neighbors]]
-                if y_aligned_only and len(neighbors):
-                    neighbors = neighbors[axis_aligned(arr, neighbors, i, "y")]
-                if x_aligned_only and len(neighbors):
-                    neighbors = neighbors[axis_aligned(arr, neighbors, i, "x")]
-                neighbor_cache[i] = neighbors
-            if len(neighbors) == 0:
-                continue
-            sel = ii == i
-            jj[sel] = neighbors[(u[sel] * len(neighbors)).astype(np.int64)]
-        ok = jj >= 0
-        ci, cj = ii[ok].astype(np.int64), jj[ok]
-        if len(ci) and len(match_codes):
-            is_match = np.isin(ci * n + cj, match_codes, assume_unique=False)
+        new = np.unique(ii[~queried[ii]])
+        if len(new):
+            offsets, found = index.neighbors(new)
+            rows = np.repeat(np.arange(len(new)), np.diff(offsets))
+            keep = np.ones(len(found), dtype=bool)
+            if allowed is not None:
+                keep &= allowed[found]
+            if y_aligned_only:
+                keep &= axis_aligned(arr, found, new[rows], "y")
+            if x_aligned_only:
+                keep &= axis_aligned(arr, found, new[rows], "x")
+            counts = np.bincount(rows[keep], minlength=len(new))
+            start[new] = len(flat) + np.cumsum(counts) - counts
+            size[new] = counts
+            queried[new] = True
+            flat = np.concatenate([flat, found[keep]])
+        ok = size[ii] > 0
+        ci = ii[ok].astype(np.int64)
+        cj = flat[start[ci] + (u[ok] * size[ci]).astype(np.int64)]
+        if len(ci):
+            is_match = view.are_matches(ci, cj)
             ci, cj = ci[~is_match], cj[~is_match]
         if len(ci):
             keep = ~((out_area[ci] > 0) & (out_area[cj] > 0))
@@ -284,18 +300,17 @@ def neighborhood_negative_pairs(
         lo = np.minimum(ci, cj)
         hi = np.maximum(ci, cj)
         codes = lo * n + hi
-        # First occurrence of each within-batch duplicate, in draw order.
-        _, first = np.unique(codes, return_index=True)
-        for k in np.sort(first):
-            code = int(codes[k])
-            if code in seen:
-                continue
-            seen.add(code)
-            out_i.append(int(lo[k]))
-            out_j.append(int(hi[k]))
-            if len(out_i) >= count:
-                break
-    return np.array(out_i, dtype=int), np.array(out_j, dtype=int)
+        # First occurrence of each code, in draw order, not accepted
+        # before; as many as are still needed.
+        first = np.sort(np.unique(codes, return_index=True)[1])
+        first = first[~np.isin(codes[first], seen)][: count - accepted]
+        out_lo.append(lo[first])
+        out_hi.append(hi[first])
+        seen = np.concatenate([seen, codes[first]])
+        accepted += len(first)
+    if not out_lo:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    return np.concatenate(out_lo), np.concatenate(out_hi)
 
 
 def max_chunk_rows(n: int, chunk_size: int) -> int:

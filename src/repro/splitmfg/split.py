@@ -98,6 +98,7 @@ class SplitView:
 
     def __post_init__(self) -> None:
         self._arrays: dict[str, np.ndarray] | None = None
+        self._match_codes: np.ndarray | None = None
         self._content_hash: str | None = None
 
     def __len__(self) -> int:
@@ -148,7 +149,31 @@ class SplitView:
     def invalidate_cache(self) -> None:
         """Drop the cached arrays (after in-place edits, e.g. obfuscation)."""
         self._arrays = None
+        self._match_codes = None
         self._content_hash = None
+
+    def match_codes(self) -> np.ndarray:
+        """Sorted directed codes ``i * n + j`` of every true match (cached).
+
+        ``j in vpins[i].matches`` exactly when ``i * n + j`` is present, so
+        a batch of candidate pairs is checked with one ``searchsorted``.
+        """
+        if self._match_codes is None:
+            n = len(self.vpins)
+            self._match_codes = np.sort(np.array(
+                [i * n + j for i, vpin in enumerate(self.vpins) for j in vpin.matches],
+                dtype=np.int64,
+            ))
+        return self._match_codes
+
+    def are_matches(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Mask of the pairs ``(i[k], j[k])`` with ``j[k] in vpins[i[k]].matches``."""
+        codes = self.match_codes()
+        query = np.asarray(i, dtype=np.int64) * len(self.vpins) + j
+        if len(codes) == 0:
+            return np.zeros(query.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+        return codes[pos] == query
 
     def match_pairs(self) -> list[tuple[int, int]]:
         """All ground-truth pairs ``(i, j)`` with ``i < j``."""

@@ -1,10 +1,13 @@
 """Tests for netlist-recovery scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.attack.config import IMP_9
 from repro.attack.framework import evaluate_attack, train_attack
+from repro.attack.proximity import pa_success_rate, proximity_picks
 from repro.attack.recovery import (
     recover_from_matching,
     recover_from_proximity,
@@ -92,3 +95,42 @@ class TestRecoverers:
             assert report.n_connections > 0
         # Recovery must beat random guessing by a wide margin.
         assert matching.connection_rate > 3.0 / len(views8[0])
+
+    def test_proximity_tie_break_prefers_probability(self):
+        # v1 and v2 are equally near v0; the more probable v1 must win
+        # every time, whatever the generator.
+        view = _view()
+        view.vpins[2] = dataclasses.replace(
+            view.vpins[2], location=Point(0.0, 3.0), pin_location=Point(0.0, 3.0)
+        )
+        view.invalidate_cache()
+        result = AttackResult(
+            view=view,
+            pair_i=np.array([0, 0]),
+            pair_j=np.array([1, 2]),
+            prob=np.array([0.9, 0.4]),
+        )
+        for seed in range(20):
+            picks = proximity_picks(result, 1.0, rng=np.random.default_rng(seed))
+            assert picks[0] == 1
+            report = recover_from_proximity(
+                result, 1.0, rng=np.random.default_rng(seed)
+            )
+            assert report.n_correct_connections == 1
+
+    def test_proximity_recovery_agrees_with_pa_core(self, views8):
+        trained = train_attack(IMP_9, views8[1:], seed=0)
+        result = evaluate_attack(trained, views8[0])
+        view = result.view
+        assert all(v.matches for v in view.vpins)
+        for fraction in (0.005, 0.02, 0.1):
+            picks = proximity_picks(result, fraction, rng=np.random.default_rng(3))
+            report = recover_from_proximity(
+                result, fraction, rng=np.random.default_rng(3)
+            )
+            assignment = {v: int(p) for v, p in enumerate(picks) if p >= 0}
+            assert report == score_assignment(view, assignment)
+            hits = sum(p in view.vpins[v].matches for v, p in assignment.items())
+            assert hits / len(view) == pa_success_rate(
+                result, fraction, rng=np.random.default_rng(3)
+            )

@@ -17,6 +17,11 @@ from repro.splitmfg.sampling import (
     random_negative_pairs,
 )
 
+from .sampling_oracle import (
+    oracle_neighborhood_negative_pairs,
+    oracle_neighbors_of,
+)
+
 
 class TestPositivePairs:
     def test_match_and_legal(self, view8):
@@ -159,8 +164,10 @@ class TestNeighborhood:
         radius = 0.2 * view8.half_perimeter
         index = NeighborhoodIndex(view8, radius)
         arr = view8.arrays()
-        for i in range(0, len(view8), 7):
-            neighbors = index.neighbors_of(i)
+        owners = np.arange(0, len(view8), 7)
+        offsets, flat = index.neighbors(owners)
+        for k, i in enumerate(owners):
+            neighbors = flat[offsets[k] : offsets[k + 1]]
             assert i not in neighbors
             d = np.abs(arr["vx"][neighbors] - arr["vx"][i]) + np.abs(
                 arr["vy"][neighbors] - arr["vy"][i]
@@ -267,7 +274,7 @@ def _legacy_neighborhood_negative_pairs(
         i = int(pool[rng.integers(len(pool))])
         neighbors = neighbor_cache.get(i)
         if neighbors is None:
-            neighbors = index.neighbors_of(i)
+            neighbors = oracle_neighbors_of(index, i)
             if allowed is not None and len(neighbors):
                 neighbors = neighbors[allowed[neighbors]]
             if y_aligned_only and len(neighbors):
@@ -354,6 +361,61 @@ class TestNeighborhoodSamplerEquivalence:
         )
         noise_floor = np.sqrt(len(support) / trials)
         assert tv < 2 * noise_floor, (tv, noise_floor)
+
+
+class TestNeighborhoodSamplerOracle:
+    """The CSR sampler equals :mod:`.sampling_oracle` exactly: the same
+    pairs in the same order, and the same generator state after."""
+
+    @staticmethod
+    def _check(view, count, index, seed, **flags):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = neighborhood_negative_pairs(view, count, index, ours, **flags)
+        want = oracle_neighborhood_negative_pairs(view, count, index, theirs, **flags)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        return got
+
+    def test_neighbor_lists_in_single_query_order(self, view8):
+        index = NeighborhoodIndex(view8, 0.3 * view8.half_perimeter)
+        owners = np.array([5, 0, 5, len(view8) - 1, 3])
+        offsets, flat = index.neighbors(owners)
+        for k, i in enumerate(owners):
+            assert flat[offsets[k] : offsets[k + 1]].tolist() == (
+                oracle_neighbors_of(index, i).tolist()
+            )
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.6])
+    @pytest.mark.parametrize(
+        "flags", [{}, {"y_aligned_only": True}, {"x_aligned_only": True}]
+    )
+    def test_matches_oracle(self, views8, fraction, flags):
+        for seed, view in enumerate(views8):
+            index = NeighborhoodIndex(view, fraction * view.half_perimeter)
+            self._check(view, len(view) // 2, index, seed, **flags)
+
+    def test_allowed_mask_and_many_batches(self, views8):
+        rng = np.random.default_rng(11)
+        for seed, view in enumerate(views8):
+            index = NeighborhoodIndex(view, 0.25 * view.half_perimeter)
+            allowed = rng.random(len(view)) < 0.7
+            # count > 128 with a tight try budget: several batches, and
+            # the budget can run out before the count is reached.
+            for factor in (1, 2, 50):
+                self._check(
+                    view, 400, index, seed, allowed=allowed, max_tries_factor=factor
+                )
+
+    def test_degenerate_inputs(self, view8):
+        index = NeighborhoodIndex(view8, 0.0)
+        assert len(self._check(view8, 10, index, 0)[0]) == 0
+        tiny = NeighborhoodIndex(view8, 0.3 * view8.half_perimeter)
+        self._check(view8, 0, tiny, 0)
+        allowed = np.zeros(len(view8), dtype=bool)
+        allowed[:1] = True
+        self._check(view8, 10, tiny, 0, allowed=allowed)
 
 
 class TestBuildTrainingSet:
