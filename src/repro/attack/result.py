@@ -63,7 +63,8 @@ class AttackResult:
         """V-pins that actually have a hidden connection (accuracy
         denominator; differs from ``n_vpins`` only under dummy-v-pin
         defenses)."""
-        return sum(1 for v in self.view.vpins if v.matches)
+        owners = self.view.match_codes() // max(self.n_vpins, 1)
+        return len(np.unique(owners))
 
     @property
     def runtime(self) -> float:

@@ -7,7 +7,7 @@ from .cells import (
     PinSpec,
     make_standard_library,
 )
-from .design import Design, Route, RouteSegment, Via, route_connectivity_ok
+from .design import Design, Route, RouteSegment, Via
 from .visualize import layer_usage_chart, placement_map, vpin_map, wire_density_map
 from .geometry import Point, Rect, bounding_box, centroid, hpwl, snap, snap_point
 from .io import design_from_dict, design_to_dict, load_design, save_design
@@ -47,7 +47,6 @@ __all__ = [
     "make_default_technology",
     "make_standard_library",
     "placement_map",
-    "route_connectivity_ok",
     "save_design",
     "snap",
     "snap_point",

@@ -67,7 +67,7 @@ def new_run_id() -> str:
 def package_versions() -> dict[str, str]:
     """Versions of the interpreter and the scientific stack in use."""
     versions = {"python": platform.python_version()}
-    for name in ("numpy", "scipy", "networkx"):
+    for name in ("numpy", "scipy"):
         module = sys.modules.get(name)
         if module is None:
             try:
@@ -170,8 +170,8 @@ def write_manifest(
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=False, default=str)
-            handle.write("\n")
+            # One json.dumps call (no indent) runs the C encoder.
+            handle.write(json.dumps(manifest, default=str) + "\n")
         os.replace(temp_name, path)
     except OSError:
         try:

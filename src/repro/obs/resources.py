@@ -4,8 +4,9 @@ ROADMAP's paper-scale target ("a full LOOCV run on a 1M-cell-class
 config with bounded RSS") is unfalsifiable without memory telemetry;
 this module is the measurement side of that contract, stdlib-only:
 
-* :func:`read_rss_bytes` / :func:`read_peak_rss_bytes` parse
-  ``/proc/self/status`` (``VmRSS`` / ``VmHWM``), falling back to
+* :func:`read_rss_bytes` preads ``/proc/self/statm`` through a
+  descriptor held per process and :func:`read_peak_rss_bytes` parses
+  ``VmHWM`` from ``/proc/self/status``, both falling back to
   ``resource.getrusage`` where procfs is unavailable;
 * :class:`ResourceSampler` is a background daemon thread feeding the
   ``process_rss_bytes`` / ``process_peak_rss_bytes`` /
@@ -49,6 +50,32 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 DEFAULT_INTERVAL_S = 0.05
 
 _PROC_STATUS = "/proc/self/status"
+_PROC_STATM = "/proc/self/statm"
+
+#: ``(pid, descriptor)`` of this process's ``/proc/self/statm`` (``None``
+#: off procfs).  A forked child inherits its parent's descriptor, which
+#: reads the *parent's* file, so a pid change opens a fresh one.  Threads
+#: racing on that open each get a correct descriptor; one is left open.
+_statm: tuple[int, int | None] = (-1, None)
+
+
+def _statm_rss_bytes() -> int | None:
+    """Resident bytes from ``/proc/self/statm``, or ``None`` off procfs."""
+    global _statm
+    pid, fd = _statm
+    if pid != os.getpid():
+        try:
+            fd = os.open(_PROC_STATM, os.O_RDONLY | os.O_CLOEXEC)
+        except OSError:
+            fd = None
+        _statm = (os.getpid(), fd)
+    if fd is None:
+        return None
+    try:
+        pages = int(os.pread(fd, 256, 0).split()[1])
+    except (OSError, IndexError, ValueError):
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE")
 
 
 def _proc_status_kb(fields: tuple[str, ...]) -> dict[str, int] | None:
@@ -90,10 +117,8 @@ def read_rss_bytes() -> int:
     over-estimate, never an under-estimate, which keeps "bounded RSS"
     claims conservative.
     """
-    values = _proc_status_kb(("VmRSS",))
-    if values:
-        return values["VmRSS"]
-    return _rusage_peak_bytes()
+    rss = _statm_rss_bytes()
+    return rss if rss is not None else _rusage_peak_bytes()
 
 
 def read_peak_rss_bytes() -> int:
@@ -114,7 +139,7 @@ def read_cpu_seconds() -> float:
 
 def telemetry_source() -> str:
     """Where readings come from: ``procfs`` or ``getrusage``."""
-    return "procfs" if _proc_status_kb(("VmRSS",)) else "getrusage"
+    return "procfs" if _statm_rss_bytes() is not None else "getrusage"
 
 
 class _PeakTracker:

@@ -5,7 +5,7 @@ train-then-evaluate step, and the very same model is refit by every
 table/figure that shares a (configuration, training views, sampling
 decisions, seed) combination -- within one ``run_all`` invocation and
 across invocations.  :class:`FeatureCache` stores each fitted model's
-inference state as one ``.npz`` entry keyed by a content hash of all of
+inference state as one ``.model`` entry keyed by a content hash of all of
 those inputs *plus* a fingerprint of the featurization, sampling,
 training-driver and classifier source code, so a code change silently
 invalidates every stale entry.  Fitted models are the only entry kind:
@@ -33,7 +33,7 @@ import inspect
 import json
 import os
 import tempfile
-import zipfile
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -74,6 +74,75 @@ CACHE_COUNTERS = (
 #: Entries whose arrays exceed this many bytes are not written (fitted
 #: models stay far below it; the cap only guards pathological blowups).
 MAX_ENTRY_BYTES = 256 * 1024 * 1024
+
+
+def _aligned(offset: int) -> int:
+    """``offset`` rounded up to the 64-byte boundary arrays start on."""
+    return -(-offset // 64) * 64
+
+
+def _encode(arrays: dict[str, np.ndarray]) -> bytearray | None:
+    """One entry's bytes, or ``None`` when a dtype has no raw form.
+
+    Layout: the CRC32 of the rest of the file and the header length (4
+    bytes each, little-endian), a JSON header of ``[name, dtype.str,
+    shape, offset, nbytes]`` rows, then each array's C-order bytes at
+    its 64-byte aligned ``offset`` past the header.
+    """
+    arrays = {name: np.asarray(array) for name, array in arrays.items()}
+    rows, end = [], 0
+    for name, array in arrays.items():
+        dtype, offset = array.dtype, _aligned(end)
+        if dtype.hasobject or np.dtype(dtype.str) != dtype:
+            return None  # objects and structured dtypes
+        rows.append([name, dtype.str, array.shape, offset, array.nbytes])
+        end = offset + array.nbytes
+    header = json.dumps(rows).encode()
+    base = _aligned(8 + len(header))
+    buffer = bytearray(base + end)
+    buffer[4 : 8 + len(header)] = len(header).to_bytes(4, "little") + header
+    for (_, _, _, offset, nbytes), array in zip(rows, arrays.values()):
+        buffer[base + offset : base + offset + nbytes] = array.tobytes()
+    buffer[:4] = zlib.crc32(memoryview(buffer)[4:]).to_bytes(4, "little")
+    return buffer
+
+
+def _decode(buffer: bytearray) -> dict[str, np.ndarray]:
+    """Writable, aligned views into ``buffer``; raises on a corrupt entry."""
+    stored = int.from_bytes(buffer[:4], "little")
+    if len(buffer) < 8 or zlib.crc32(memoryview(buffer)[4:]) != stored:
+        raise ValueError("entry checksum mismatch")
+    length = int.from_bytes(buffer[4:8], "little")
+    base = _aligned(8 + length)
+    rows = json.loads(buffer[8 : 8 + length].decode())
+    return {
+        name: np.ndarray(shape, dtype, buffer, base + offset)
+        for name, dtype, shape, offset, _ in rows
+    }
+
+
+def _quarantine(path: Path) -> bool:
+    """Move a corrupt file out of the entry namespace (self-heal).
+
+    A truncated or garbled entry (torn write, checksum mismatch, disk
+    corruption) is a *miss*, not an error: the caller recomputes and the
+    fresh put replaces it.  The corrupt bytes are preserved under
+    ``quarantine/`` for post-mortems rather than deleted -- and
+    crucially they stop matching the ``*.model`` entry glob, so one bad
+    file cannot fail every later lookup of its key.  Returns ``False``
+    when a racing worker already healed it.
+    """
+    quarantine = path.parent / QUARANTINE_DIR
+    try:
+        quarantine.mkdir(exist_ok=True)
+        os.replace(path, quarantine / path.name)
+    except OSError:
+        try:
+            path.unlink()
+        except OSError:
+            return False
+    logger.warning("quarantined corrupt cache file %s", path)
+    return True
 
 
 def default_cache_dir() -> Path:
@@ -203,7 +272,7 @@ def view_content_hash(view: "SplitView") -> str:
 
 
 class FeatureCache:
-    """Directory of ``<key>.npz`` entries holding fitted-model arrays.
+    """Directory of ``<key>.model`` entries holding fitted-model arrays.
 
     Every hit/miss/put/eviction increments both an instance attribute
     (``cache.hits`` etc.) and a process-wide ``cache_*`` counter in the
@@ -225,33 +294,11 @@ class FeatureCache:
         self.put_bytes = 0
 
     def _path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
+        return self.root / f"{key}.model"
 
     def _count(self, name: str, amount: int = 1) -> None:
         setattr(self, name, getattr(self, name) + amount)
         counter(f"cache_{name}").inc(amount)
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt file out of the entry namespace (self-heal).
-
-        A truncated or garbled entry (torn write, bad magic, disk
-        corruption) is a *miss*, not an error: the caller recomputes and
-        the fresh put replaces it.  The corrupt bytes are preserved
-        under ``quarantine/`` for post-mortems rather than deleted --
-        and crucially they stop matching the ``*.npz`` entry glob, so
-        one bad file cannot fail every later lookup of its key.
-        """
-        quarantine = self.root / QUARANTINE_DIR
-        try:
-            quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                return  # racing worker already healed it
-        self._count("corrupt_entries")
-        logger.warning("quarantined corrupt cache entry %s", path.name)
 
     def get(self, key: str) -> dict[str, np.ndarray] | None:
         """The stored arrays for ``key``, or ``None`` on a miss.
@@ -262,11 +309,13 @@ class FeatureCache:
         """
         path = self._path(key)
         try:
-            with np.load(path, allow_pickle=False) as data:
-                arrays = {name: data[name] for name in data.files}
-        except (OSError, ValueError, zipfile.BadZipFile, EOFError):
-            if path.exists():
-                self._quarantine(path)
+            with open(path, "rb", buffering=0) as handle:
+                buffer = bytearray(os.fstat(handle.fileno()).st_size)
+                handle.readinto(buffer)  # a short read fails the CRC
+            arrays = _decode(buffer)
+        except (OSError, ValueError, TypeError):
+            if path.exists() and _quarantine(path):
+                self._count("corrupt_entries")
             self._count("misses")
             return None
         self._count("hits")
@@ -278,16 +327,17 @@ class FeatureCache:
     def put(self, key: str, arrays: dict[str, np.ndarray]) -> bool:
         """Atomically store ``arrays``; returns whether it was written."""
         total = sum(np.asarray(a).nbytes for a in arrays.values())
-        if total > MAX_ENTRY_BYTES:
+        buffer = _encode(arrays) if total <= MAX_ENTRY_BYTES else None
+        if buffer is None:
             self._count("put_rejected")
             return False
         self.root.mkdir(parents=True, exist_ok=True)
         fd, temp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".npz"
+            dir=self.root, prefix=".tmp-", suffix=".model"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **arrays)
+                handle.write(buffer)
             # Chaos hook: a matching REPRO_FAULT_PLAN torn_write rule
             # truncates the bytes here, publishing exactly the torn
             # entry a crash mid-write would leave for get() to heal.
@@ -329,7 +379,7 @@ class FeatureCache:
         """All entry files currently in the cache directory."""
         if not self.root.is_dir():
             return []
-        return sorted(self.root.glob("*.npz"))
+        return sorted(self.root.glob("*.model"))
 
     def __len__(self) -> int:
         return len(self.entries())
@@ -392,17 +442,8 @@ def _read_sidecar(root: Path) -> dict[str, int]:
     except OSError:
         return totals
     except ValueError:
-        quarantine = Path(root) / QUARANTINE_DIR
-        try:
-            quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        _quarantine(path)
         counter("cache_corrupt_entries").inc()
-        logger.warning("quarantined corrupt cache sidecar %s", path)
         return totals
     for name in CACHE_COUNTERS:
         try:

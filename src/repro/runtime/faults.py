@@ -11,7 +11,7 @@ operation and a *site* where it fires:
 * ``stall`` -- the task sleeps ``seconds`` before doing any work, long
   enough to trip the pool's ``task_timeout_s`` watchdog (site ``task``);
 * ``torn_write`` -- a cache entry is truncated mid-write, producing
-  the torn ``.npz`` a crash between ``write`` and ``fsync`` would leave
+  the torn entry a crash between ``write`` and ``fsync`` would leave
   behind (site ``cache_write``).
 
 Determinism is the whole point: a rule either pins an exact

@@ -99,6 +99,7 @@ class SplitView:
     def __post_init__(self) -> None:
         self._arrays: dict[str, np.ndarray] | None = None
         self._match_codes: np.ndarray | None = None
+        self._match_distances: np.ndarray | None = None
         self._content_hash: str | None = None
 
     def __len__(self) -> int:
@@ -150,6 +151,7 @@ class SplitView:
         """Drop the cached arrays (after in-place edits, e.g. obfuscation)."""
         self._arrays = None
         self._match_codes = None
+        self._match_distances = None
         self._content_hash = None
 
     def match_codes(self) -> np.ndarray:
@@ -185,16 +187,16 @@ class SplitView:
         return pairs
 
     def match_distances(self) -> np.ndarray:
-        """Manhattan distances between ground-truth matching v-pins."""
-        arr = self.arrays()
-        pairs = self.match_pairs()
-        if not pairs:
-            return np.zeros(0)
-        i = np.array([p[0] for p in pairs])
-        j = np.array([p[1] for p in pairs])
-        return np.abs(arr["vx"][i] - arr["vx"][j]) + np.abs(
-            arr["vy"][i] - arr["vy"][j]
-        )
+        """Manhattan distances between ground-truth matching v-pins, in
+        :meth:`match_pairs` order (cached, read-only)."""
+        if self._match_distances is None:
+            arr = self.arrays()
+            i, j = np.array(self.match_pairs(), dtype=np.int64).reshape(-1, 2).T
+            distances = np.abs(arr["vx"][i] - arr["vx"][j])
+            distances += np.abs(arr["vy"][i] - arr["vy"][j])
+            distances.flags.writeable = False
+            self._match_distances = distances
+        return self._match_distances
 
 
 def _split_route(

@@ -73,12 +73,8 @@ def _probe_matrix(config):
 
 def _model_entries(cache):
     """Cache entries holding a fitted model (they carry ``params``)."""
-    paths = []
-    for path in cache.entries():
-        with np.load(path) as data:
-            if "params" in data.files:
-                paths.append(path)
-    return paths
+    reader = FeatureCache(cache.root)
+    return [path for path in cache.entries() if "params" in reader.get(path.stem)]
 
 
 class _StatelessBackend(backends.ClassifierBackend):

@@ -1,5 +1,7 @@
 """Exact tests of the LoC/accuracy machinery on a synthetic result."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,21 @@ class TestExactMath:
         assert partial.saturation_accuracy() == 0.5
         # Never-evaluated matches stay uncovered even at threshold -inf.
         assert partial.accuracy_at_threshold(-np.inf) == 0.5
+
+    def test_n_matched_vpins_skips_dummies(self):
+        """Only v-pins with a hidden connection count, as in the loop
+        ``sum(1 for v in view.vpins if v.matches)``."""
+        view = _view(6)
+        for k in (4, 5):
+            view.vpins[k] = dataclasses.replace(view.vpins[k], matches=frozenset())
+        view.invalidate_cache()
+        empty = np.zeros(0, dtype=int)
+        result = AttackResult(view=view, pair_i=empty, pair_j=empty, prob=np.zeros(0))
+        assert result.n_matched_vpins == sum(1 for v in view.vpins if v.matches) == 4
+        no_vpins = AttackResult(
+            view=_view(0), pair_i=empty, pair_j=empty, prob=np.zeros(0)
+        )
+        assert no_vpins.n_matched_vpins == 0
 
     def test_threshold_for_accuracy(self, result):
         assert result.threshold_for_accuracy(0.5) == pytest.approx(0.9)

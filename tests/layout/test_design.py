@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.layout.design import (
-    Design,
-    Route,
-    RouteSegment,
-    Via,
-    route_connectivity_ok,
-)
+from repro.layout.design import Design, Route, RouteSegment, Via
 from repro.layout.geometry import Point, Rect
 from repro.layout.technology import make_default_technology
+
+from .connectivity import route_connectivity_ok
 
 
 class TestRouteSegment:

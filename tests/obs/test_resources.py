@@ -1,5 +1,8 @@
 """Tests for resource telemetry (repro.obs.resources)."""
 
+import os
+
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -8,6 +11,7 @@ from repro.obs import (
     reset_tracing,
     span,
 )
+from repro.obs import resources
 from repro.obs.resources import (
     DEFAULT_INTERVAL_S,
     ResourceSampler,
@@ -21,6 +25,11 @@ from repro.obs.resources import (
     stop_resource_sampling,
     telemetry_source,
     update_resource_gauges,
+)
+
+
+needs_procfs = pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs procfs"
 )
 
 
@@ -51,6 +60,42 @@ class TestReadings:
 
     def test_source_named(self):
         assert telemetry_source() in ("procfs", "getrusage")
+
+    @needs_procfs
+    def test_rss_matches_vmrss_within_a_page(self):
+        page = os.sysconf("SC_PAGE_SIZE")
+        before = resources._proc_status_kb(("VmRSS",))["VmRSS"]
+        rss = read_rss_bytes()
+        after = resources._proc_status_kb(("VmRSS",))["VmRSS"]
+        assert min(before, after) - page <= rss <= max(before, after) + page
+
+    @needs_procfs
+    def test_forked_child_reads_its_own_rss(self):
+        read_rss_bytes()  # the parent now holds an open descriptor
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                before = read_rss_bytes()
+                block = np.ones(32 * 2**20 // 8)  # 32 MiB, touched
+                after = read_rss_bytes()
+                os.write(write_end, f"{before} {after} {block[-1]:.0f}".encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        os.waitpid(pid, 0)
+        with os.fdopen(read_end, "rb") as handle:
+            before, after, _ = map(int, handle.read().split())
+        assert after - before >= 24 * 2**20
+
+    def test_getrusage_fallback_without_procfs(self, monkeypatch, tmp_path):
+        missing = str(tmp_path / "no-procfs")
+        monkeypatch.setattr(resources, "_PROC_STATM", missing)
+        monkeypatch.setattr(resources, "_PROC_STATUS", missing)
+        monkeypatch.setattr(resources, "_statm", (-1, None))
+        assert 0 < read_rss_bytes() <= resources._rusage_peak_bytes()
+        assert 0 < read_peak_rss_bytes() <= resources._rusage_peak_bytes()
+        assert telemetry_source() == "getrusage"
 
 
 class TestGaugeUpdates:

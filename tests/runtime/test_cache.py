@@ -129,7 +129,7 @@ class TestFeatureCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = FeatureCache(tmp_path)
         cache.put("k", {"X": np.ones(3)})
-        cache._path("k").write_bytes(b"not an npz")
+        cache._path("k").write_bytes(b"not an entry")
         assert cache.get("k") is None
 
     def test_entries_and_clear(self, tmp_path):
@@ -153,6 +153,90 @@ class TestFeatureCache:
         assert cache.get("k") is None
 
 
+class TestEntryFormat:
+    """One ``.model`` file per entry: CRC32, header, aligned raw bytes."""
+
+    ARRAYS = {
+        "params": np.array('{"a": [1, 2], "b": "\u00e9"}'),
+        "train_time": np.array(0.125, dtype=np.float64),
+        "empty": np.zeros((0, 9)),
+        "empty_int": np.zeros(0, dtype=np.int32),
+        "mask": np.array([True, False, True]),
+        "ids": np.arange(7, dtype=np.int32),
+        "weights": np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(3, 4),
+        "strided": np.arange(40, dtype=np.int64).reshape(5, 8)[::2, 1::3],
+        "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        "big_endian": np.arange(5, dtype=">f8"),
+    }
+
+    def test_round_trip_is_exact(self, tmp_path):
+        cache = FeatureCache(tmp_path)
+        assert cache.put("k", self.ARRAYS)
+        loaded = cache.get("k")
+        assert list(loaded) == list(self.ARRAYS)
+        for name, array in self.ARRAYS.items():
+            got = loaded[name]
+            assert got.dtype == array.dtype, name
+            assert got.shape == array.shape, name
+            assert got.tobytes() == array.tobytes(), name
+            assert got.flags.writeable and got.flags.aligned, name
+            assert got.flags.c_contiguous, name
+        assert str(loaded["params"]) == str(self.ARRAYS["params"])
+        loaded["ids"][0] = 99  # writable, like np.load's arrays
+
+    def test_one_file_per_entry(self, tmp_path):
+        cache = FeatureCache(tmp_path)
+        cache.put("k", self.ARRAYS)
+        assert [p.name for p in tmp_path.iterdir()] == ["k.model"]
+        assert cache.entries() == [tmp_path / "k.model"]
+
+    def test_byte_counters_count_array_bytes(self, tmp_path):
+        cache = FeatureCache(tmp_path)
+        cache.put("k", self.ARRAYS)
+        cache.get("k")
+        total = sum(a.nbytes for a in self.ARRAYS.values())
+        assert cache.put_bytes == cache.hit_bytes == total
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([object(), 1], dtype=object),
+            np.zeros(2, dtype=[("x", "<f8"), ("y", "<i4")]),
+        ],
+        ids=["object", "structured"],
+    )
+    def test_unstorable_dtype_rejected(self, tmp_path, array):
+        cache = FeatureCache(tmp_path)
+        assert not cache.put("k", {"ok": np.ones(2), "bad": array})
+        assert cache.put_rejected == 1 and cache.puts == 0
+        assert cache.entries() == []
+
+    def test_every_truncation_is_a_quarantined_miss(self, tmp_path):
+        cache = FeatureCache(tmp_path)
+        cache.put("k", self.ARRAYS)
+        data = cache._path("k").read_bytes()
+        for size in range(len(data)):
+            cache._path("k").write_bytes(data[:size])
+            assert cache.get("k") is None, size
+            assert not cache._path("k").exists(), size
+        assert cache.corrupt_entries == len(data)
+        assert cache.hits == 0
+
+    def test_bit_flips_are_quarantined_misses(self, tmp_path):
+        cache = FeatureCache(tmp_path)
+        cache.put("k", self.ARRAYS)
+        data = cache._path("k").read_bytes()
+        rng = np.random.default_rng(0)
+        for bit in rng.integers(0, 8 * len(data), size=200):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            cache._path("k").write_bytes(bytes(flipped))
+            assert cache.get("k") is None, bit
+            assert not cache._path("k").exists(), bit
+        assert cache.corrupt_entries == 200
+        assert cache.hits == 0
+
+
 class TestCorruptionSelfHeal:
     """Torn/corrupt files are quarantined, counted, and treated as misses."""
 
@@ -166,12 +250,12 @@ class TestCorruptionSelfHeal:
     def test_corrupt_entry_quarantined_and_recoverable(self, tmp_path):
         cache = FeatureCache(tmp_path)
         cache.put("k", {"X": np.ones(3)})
-        cache._path("k").write_bytes(b"not an npz")
+        cache._path("k").write_bytes(b"not an entry")
         assert cache.get("k") is None  # miss, not an exception
         assert cache.corrupt_entries == 1
         assert len(cache) == 0  # gone from the entry namespace
         quarantined = list((tmp_path / QUARANTINE_DIR).iterdir())
-        assert [p.name for p in quarantined] == ["k.npz"]
+        assert [p.name for p in quarantined] == ["k.model"]
         # The key is usable again immediately: recompute, put, hit.
         assert cache.put("k", {"X": np.ones(3)})
         assert cache.get("k") is not None
@@ -209,7 +293,7 @@ class TestCorruptionSelfHeal:
         assert cache.put("victim", {"X": np.ones(64)})  # torn mid-write
         assert cache.get("victim") is None  # heals: quarantine + miss
         assert cache.corrupt_entries == 1
-        assert (tmp_path / QUARANTINE_DIR / "victim.npz").exists()
+        assert (tmp_path / QUARANTINE_DIR / "victim.model").exists()
         monkeypatch.delenv(ENV_FAULT_PLAN)
         assert cache.put("victim", {"X": np.ones(64)})
         assert cache.get("victim") is not None

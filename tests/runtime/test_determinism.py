@@ -96,8 +96,7 @@ class TestCacheTransparency:
         entries = cache.entries()
         assert len(entries) == 2 * len(views8)
         for path in entries:
-            with np.load(path) as data:
-                assert "params" in data.files, path.name
+            assert "params" in cache.get(path.stem), path.name
 
     def test_evaluate_makes_no_cache_call(self, views8, tmp_path, monkeypatch):
         cache = FeatureCache(tmp_path)

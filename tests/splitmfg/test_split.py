@@ -185,6 +185,20 @@ class TestSplitViewHelpers:
         assert len(distances) == view.num_matched_pairs == 2
         assert (distances > 0).all()
 
+    def test_match_distances_cached_and_read_only(self, crafted):
+        view = split_design(crafted, 8)
+        distances = view.match_distances()
+        assert view.match_distances() is distances
+        assert not distances.flags.writeable
+        arr = view.arrays()
+        expected = [
+            abs(arr["vx"][i] - arr["vx"][j]) + abs(arr["vy"][i] - arr["vy"][j])
+            for i, j in view.match_pairs()
+        ]
+        np.testing.assert_array_equal(distances, expected)
+        view.invalidate_cache()
+        assert view.match_distances() is not distances
+
     def test_match_pairs_unique(self, crafted):
         view = split_design(crafted, 8)
         pairs = view.match_pairs()

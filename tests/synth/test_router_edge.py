@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.layout.design import Route, route_connectivity_ok
+from repro.layout.design import Route
 from repro.layout.geometry import Point, Rect
 from repro.layout.technology import make_default_technology
 from repro.synth.router import GlobalRouter, RouterConfig
+
+from ..layout.connectivity import route_connectivity_ok
 
 
 class TestShortStacks:

@@ -374,11 +374,11 @@ class TestCommands:
         cache_dir = tmp_path / "feat"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         cache_dir.mkdir(parents=True)
-        (cache_dir / "deadbeef.npz").write_bytes(b"x")
+        (cache_dir / "deadbeef.model").write_bytes(b"x")
         rc = main(["cache", "clear"])
         assert rc == 0
         assert "1" in capsys.readouterr().out
-        assert not list(cache_dir.glob("*.npz"))
+        assert not list(cache_dir.glob("*.model"))
 
     def test_cache_stats_json(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "feat"))
