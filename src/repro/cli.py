@@ -26,11 +26,13 @@ Commands:
   sharded bounded-RSS evaluator, writing a run manifest whose
   ``resources`` section proves the peak-RSS budget held
   (``--budget-mb`` exits 3 when exceeded);
-* ``merge-runs`` -- combine shard/partial run manifests (from
-  ``--shard i/N`` or interrupted runs) into one verified run: coverage
-  and hash agreement are checked, reports are reloaded from the
-  checkpoint stores and re-hashed, and the combined ``--out`` report is
-  byte-identical to an uninterrupted serial run.
+* ``merge-runs`` -- combine shard/partial runs (from ``--shard i/N``
+  or interrupted runs) into one verified run: the manifests give the
+  shared configuration and checkpoint directories, every report is
+  reloaded from the checkpoint stores and re-hashed (a missing
+  experiment is a gap, two different reports a conflict), and the
+  combined ``--out`` report is byte-identical to an uninterrupted
+  serial run.
 
 ``attack``, ``experiments``, and its alias ``run-all`` accept ``--jobs N``
 (process-pool parallelism over folds/experiments; bit-identical to
@@ -39,7 +41,7 @@ memoization cache (see ``repro.runtime``).  ``experiments``/``run-all``
 are additionally fault-tolerant and resumable: finished experiments are
 checkpointed as they land, SIGINT/SIGTERM writes a partial
 ``"status": "interrupted"`` manifest (exit 130), ``--resume`` skips
-already-proven experiments, ``--shard i/N`` partitions the list for
+experiments with a verified checkpoint, ``--shard i/N`` partitions the list for
 multi-host fan-out, and ``--task-timeout`` arms the stalled-worker
 watchdog.
 

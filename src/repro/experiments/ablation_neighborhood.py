@@ -17,7 +17,6 @@ from ..attack.config import IMP_9
 from ..attack.framework import run_loo
 from ..reporting import ascii_table, format_percent
 from .common import (
-    DEFAULT_JOBS,
     DEFAULT_SCALE,
     ExperimentOutput,
     get_views,
@@ -33,7 +32,6 @@ def run(
     seed: int = 0,
     layer: int = DEFAULT_LAYER,
     percentiles: tuple[float, ...] = PERCENTILES,
-    jobs: int = DEFAULT_JOBS,
 ) -> ExperimentOutput:
     """Run the neighborhood-percentile sweep at ``scale``."""
     views = get_views(layer, scale)
@@ -45,7 +43,7 @@ def run(
             name=f"Imp-9/p{percentile:g}",
             neighborhood_percentile=percentile,
         )
-        results = run_loo(config, views, seed=seed, jobs=jobs)
+        results = run_loo(config, views, seed=seed)
         entry = {
             "pairs": sum(r.n_pairs_evaluated for r in results),
             "saturation": float(

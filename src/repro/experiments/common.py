@@ -22,9 +22,6 @@ from ..synth.benchmarks import build_suite
 #: Default scale for directly-run experiments.
 DEFAULT_SCALE = 0.5
 
-#: Default worker count for directly-run experiments (serial).
-DEFAULT_JOBS = 1
-
 _suite_cache: dict[float, list[Design]] = {}
 _view_cache: dict[tuple[float, int], list[SplitView]] = {}
 
@@ -80,8 +77,8 @@ def fold_seeds(seed: int, n_folds: int) -> list[int]:
     """Independent per-fold seeds, stable under any execution order.
 
     Every experiment that iterates LOOCV folds derives its fold RNGs
-    here (``SeedSequence.spawn`` under the hood), which is what makes
-    ``--jobs N`` output bit-identical to serial output.
+    here (``SeedSequence.spawn`` under the hood), so a fold's result
+    never depends on which folds ran before it.
     """
     return spawn_seeds(seed, n_folds)
 
@@ -99,14 +96,8 @@ class ExperimentOutput:
 
 
 def standard_cli(description: str) -> argparse.Namespace:
-    """Common ``--scale/--seed/--jobs`` CLI for ``python -m`` execution."""
+    """Common ``--scale/--seed`` CLI for ``python -m`` execution."""
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--scale", type=positive_scale, default=DEFAULT_SCALE)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=DEFAULT_JOBS,
-        help="process-pool workers for independent folds (0 = all cores)",
-    )
     return parser.parse_args()

@@ -17,7 +17,6 @@ from ..attack.framework import run_loo
 from ..attack.proximity import pa_success_rate
 from ..reporting import ascii_table, format_percent
 from .common import (
-    DEFAULT_JOBS,
     DEFAULT_SCALE,
     ExperimentOutput,
     get_views,
@@ -41,13 +40,12 @@ def run(
     seed: int = 0,
     layer: int = DEFAULT_LAYER,
     grid: tuple[tuple[str, float], ...] = DEFENSE_GRID,
-    jobs: int = DEFAULT_JOBS,
 ) -> ExperimentOutput:
     """Run the defense comparison at ``scale`` (see module docstring)."""
     clean_views = get_views(layer, scale)
 
     def attack(views):
-        results = run_loo(IMP_11, views, seed=seed, jobs=jobs)
+        results = run_loo(IMP_11, views, seed=seed)
         accuracy = float(
             np.mean([r.accuracy_at_loc_fraction(0.01) for r in results])
         )

@@ -18,7 +18,6 @@ from ..attack.framework import run_loo
 from ..attack.recovery import recover_from_matching
 from ..reporting import ascii_table, format_percent
 from .common import (
-    DEFAULT_JOBS,
     DEFAULT_SCALE,
     ExperimentOutput,
     get_views,
@@ -32,14 +31,13 @@ def run(
     scale: float = DEFAULT_SCALE,
     seed: int = 0,
     layers: tuple[int, ...] = DEFAULT_LAYERS,
-    jobs: int = DEFAULT_JOBS,
 ) -> ExperimentOutput:
     """Run the security accounting at ``scale`` (see module docstring)."""
     rows = []
     data: dict = {}
     for layer in layers:
         views = get_views(layer, scale)
-        results = run_loo(IMP_11, views, seed=seed, jobs=jobs)
+        results = run_loo(IMP_11, views, seed=seed)
         baselines = []
         residuals = []
         connection_rates = []

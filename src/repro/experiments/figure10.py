@@ -17,7 +17,6 @@ from ..attack.framework import run_loo
 from ..attack.obfuscation import obfuscate_suite
 from ..reporting import ascii_table, format_percent
 from .common import (
-    DEFAULT_JOBS,
     DEFAULT_SCALE,
     ExperimentOutput,
     get_views,
@@ -34,7 +33,6 @@ def run(
     seed: int = 0,
     layers: tuple[int, ...] = DEFAULT_LAYERS,
     noise_levels: tuple[float, ...] = NOISE_LEVELS,
-    jobs: int = DEFAULT_JOBS,
 ) -> ExperimentOutput:
     """Regenerate Fig. 10 at ``scale`` (see module docstring)."""
     blocks = []
@@ -49,7 +47,7 @@ def run(
                 if noise == 0.0
                 else obfuscate_suite(clean_views, noise, seed=seed + int(noise * 1000))
             )
-            results = run_loo(IMP_11, views, seed=seed, jobs=jobs)
+            results = run_loo(IMP_11, views, seed=seed)
             _, accuracies = mean_curve(results, SERIES_FRACTIONS)
             label = "no noise" if noise == 0 else f"SD={noise:.0%}"
             layer_data[label] = tuple(float(a) for a in accuracies)
@@ -79,4 +77,4 @@ def run(
 
 if __name__ == "__main__":
     args = standard_cli("Reproduce Fig. 10")
-    print(run(scale=args.scale, seed=args.seed, jobs=args.jobs).report)
+    print(run(scale=args.scale, seed=args.seed).report)

@@ -28,7 +28,6 @@ from ..attack.config import (
 from ..attack.framework import loo_folds, run_loo
 from ..reporting import ascii_table, format_percent
 from .common import (
-    DEFAULT_JOBS,
     DEFAULT_SCALE,
     ExperimentOutput,
     get_views,
@@ -62,7 +61,6 @@ def run(
     scale: float = DEFAULT_SCALE,
     seed: int = 0,
     layers: tuple[int, ...] = DEFAULT_LAYERS,
-    jobs: int = DEFAULT_JOBS,
 ) -> ExperimentOutput:
     """Regenerate Fig. 9 at ``scale`` (see module docstring)."""
     blocks = []
@@ -75,7 +73,7 @@ def run(
         rows = []
         layer_data: dict = {}
         for config in configs:
-            results = run_loo(config, views, seed=seed, jobs=jobs)
+            results = run_loo(config, views, seed=seed)
             _, accuracies = mean_curve(results, SERIES_FRACTIONS)
             layer_data[config.name] = tuple(float(a) for a in accuracies)
             rows.append(
@@ -106,4 +104,4 @@ def run(
 
 if __name__ == "__main__":
     args = standard_cli("Reproduce Fig. 9")
-    print(run(scale=args.scale, seed=args.seed, jobs=args.jobs).report)
+    print(run(scale=args.scale, seed=args.seed).report)

@@ -10,21 +10,22 @@ experiment seeds itself from ``(seed, fold)`` alone, so the combined
 output is bit-identical for every ``N`` -- only the ``elapsed`` stamps
 (which never enter ``--out`` files) differ.
 
-The runner is **fault-tolerant and resumable**:
+The runner is **fault-tolerant and resumable**.  The checkpoint store
+(:class:`repro.runtime.CheckpointStore`) is the one record of finished
+work:
 
 * every finished experiment is checkpointed atomically (report bytes +
   SHA-256) by the parent process the moment its result lands, so a
-  crash, OOM kill, or Ctrl-C loses at most the work in flight;
+  crash, OOM kill, SIGKILL or Ctrl-C loses at most the work in flight;
+* ``--resume`` skips every experiment with a verified checkpoint for
+  its ``(name, scale, seed)`` and re-runs only the rest -- no manifest
+  of the earlier run is needed;
 * SIGINT/SIGTERM writes a *partial* manifest (``"status":
-  "interrupted"``) listing the completed experiments' hashes;
-* ``--resume`` skips every experiment whose ``report_sha256`` already
-  appears in a prior manifest of the same ``(scale, seed)`` -- partial,
-  interrupted, and shard manifests all count -- provided a checkpoint
-  with matching bytes exists, and re-runs only the rest;
+  "interrupted"``) listing the experiments checkpointed so far;
 * ``--shard i/N`` partitions the experiment list deterministically
   (round-robin over the canonical order) for multi-host fan-out, and
-  :func:`merge_runs` (CLI: ``repro merge-runs``) combines shard
-  manifests into one verified run whose combined report is
+  :func:`merge_runs` (CLI: ``repro merge-runs``) reloads the shards'
+  checkpoint stores into one verified run whose combined report is
   byte-identical to an uninterrupted serial run;
 * ``--task-timeout`` arms the pool watchdog
   (:class:`repro.runtime.RetryPolicy`), turning a stalled worker into
@@ -35,7 +36,8 @@ Each invocation also writes a **run manifest**
 to skip): the configuration, root seed, package versions, per-experiment
 span trees (merged from pool workers), the metrics snapshot, and the
 feature-cache statistics.  The manifest is observability output only --
-the report text never depends on it.
+the report text never depends on it, and no later run reads it back
+except ``repro merge-runs``, for its configuration.
 """
 
 from __future__ import annotations
@@ -173,36 +175,21 @@ def default_checkpoint_dir(
     return Path(manifest_dir) / "checkpoints" / run_key(scale, seed)
 
 
-def collect_resume_hashes(
-    manifest_dir: str | Path, scale: float, seed: int
-) -> dict[str, str]:
-    """Per-experiment ``report_sha256`` from every prior manifest.
-
-    Scans ``manifest_dir`` for manifests whose config matches this
-    ``(scale, seed)`` -- completed, interrupted, and shard manifests
-    all contribute (the hashes of *finished* experiments are equally
-    trustworthy in each).  Unreadable files are skipped: a torn
-    manifest merely shrinks the resume set.
-    """
-    directory = Path(manifest_dir)
-    hashes: dict[str, str] = {}
-    if not directory.is_dir():
-        return hashes
-    for path in sorted(directory.glob("*.json")):
-        try:
-            manifest = load_manifest(path)
-        except (OSError, ValueError):
-            continue
-        config = manifest.get("config") or {}
-        if config.get("scale") != float(scale):
-            continue
-        if config.get("seed") != int(seed):
-            continue
-        for name, entry in (manifest.get("experiments") or {}).items():
-            sha = entry.get("report_sha256") if isinstance(entry, dict) else None
-            if sha:
-                hashes[name] = sha
-    return hashes
+def load_checkpointed(
+    store: CheckpointStore, names: list[str], scale: float, seed: int
+) -> dict[str, ExperimentOutput]:
+    """The outputs of every experiment in ``names`` that ``store`` holds
+    a verified checkpoint for, in ``names`` order."""
+    outputs: dict[str, ExperimentOutput] = {}
+    for name in names:
+        record = store.load(name, scale=scale, seed=seed)
+        if record is not None:
+            outputs[name] = ExperimentOutput(
+                experiment=name,
+                report=record["report"],
+                data={"elapsed_seconds": record["elapsed_seconds"]},
+            )
+    return outputs
 
 
 def _run_one(task: tuple[str, float, int, str | None]) -> ExperimentOutput:
@@ -230,48 +217,31 @@ def run_all(
     *,
     shard: tuple[int, int] | None = None,
     checkpoints: CheckpointStore | None = None,
-    resume_hashes: dict[str, str] | None = None,
+    resume: bool = False,
     retry: RetryPolicy | None = None,
 ) -> dict[str, ExperimentOutput]:
     """Run all (or the named) experiments; returns outputs by name.
 
-    ``jobs > 1`` distributes whole experiments over a process pool;
-    fold-level ``--jobs`` (inside a single experiment) is for direct
-    ``python -m repro.experiments.tableN`` runs, to avoid nesting pools.
+    ``jobs > 1`` distributes whole experiments over a process pool.
 
     ``checkpoints`` (a :class:`~repro.runtime.CheckpointStore`) makes
     the run crash-survivable: each finished experiment is persisted the
-    moment its result reaches the parent.  ``resume_hashes`` (from
-    :func:`collect_resume_hashes`) skips experiments whose recorded
-    hash is matched by a verified checkpoint -- the skipped outputs are
-    reconstructed from the checkpointed bytes, so the combined report
-    is byte-identical to a fresh run.  ``shard`` restricts this
-    invocation to its :func:`shard_slice` of the list; ``retry``
-    overrides the pool's default :class:`~repro.runtime.RetryPolicy`.
+    moment its result reaches the parent.  ``resume`` (which needs
+    ``checkpoints``) skips every experiment with a verified checkpoint
+    -- the skipped outputs are rebuilt from the checkpointed bytes, so
+    the combined report is byte-identical to a fresh run.  ``shard``
+    restricts this invocation to its :func:`shard_slice` of the list;
+    ``retry`` overrides the pool's default
+    :class:`~repro.runtime.RetryPolicy`.
     """
     names = experiment_names(only, shard)
     outputs: dict[str, ExperimentOutput] = {}
-    to_run: list[str] = []
-    for name in names:
-        record = None
-        if resume_hashes is not None and checkpoints is not None:
-            expected = resume_hashes.get(name)
-            if expected is not None:
-                record = checkpoints.load(name, scale=scale, seed=seed)
-                if record is not None and record["report_sha256"] != expected:
-                    record = None  # stale checkpoint: re-run
-        if record is not None:
-            counter("experiments_resumed").inc()
-            outputs[name] = ExperimentOutput(
-                experiment=name,
-                report=record["report"],
-                data={
-                    "elapsed_seconds": record["elapsed_seconds"],
-                    "resumed": True,
-                },
-            )
-        else:
-            to_run.append(name)
+    if resume:
+        outputs = load_checkpointed(checkpoints, names, scale, seed)
+    for output in outputs.values():
+        output.data["resumed"] = True
+        counter("experiments_resumed").inc()
+    to_run = [name for name in names if name not in outputs]
     cache = get_default_cache()
     cache_dir = str(cache.root) if cache is not None else None
     if jobs is not None and jobs != 1 and len(to_run) > 1:
@@ -359,25 +329,28 @@ def build_run_manifest(
     outputs: dict[str, ExperimentOutput],
     scale: float,
     seed: int,
-    jobs: int,
+    jobs: int | None,
     only: tuple[str, ...] | None = None,
     command: str = "run_all",
     *,
     status: str = "completed",
     shard: tuple[int, int] | None = None,
     resumed: list[str] | None = None,
+    merged_from: list[str] | None = None,
     checkpoint_dir: str | Path | None = None,
     task_timeout: float | None = None,
 ) -> dict[str, Any]:
     """Assemble the run manifest for one ``run_all`` invocation.
 
-    Collects the span trees accumulated since the last drain, the
-    metrics registry snapshot (including merged pool-worker counts),
-    the resource telemetry (RSS / peak RSS / CPU, with pool-worker
-    peaks folded in by max), and the feature-cache statistics (flushing
-    the lifetime sidecar as a side effect).  Per-experiment entries
-    carry the elapsed time and
-    a SHA-256 of the report section, so two manifests can prove their
+    Completed, interrupted (``status="interrupted"``, over the outputs
+    reloaded from checkpoints) and merged (``merged_from``) runs all
+    take their manifest from here.  Collects the span trees accumulated
+    since the last drain, the metrics registry snapshot (including
+    merged pool-worker counts), the resource telemetry (RSS / peak RSS
+    / CPU, with pool-worker peaks folded in by max), and the
+    feature-cache statistics (flushing the lifetime sidecar as a side
+    effect).  Per-experiment entries carry the elapsed time and a
+    SHA-256 of the report section, so two manifests can prove their
     reports were byte-identical without storing the text twice.
     """
     experiments = {
@@ -415,55 +388,7 @@ def build_run_manifest(
         status=status,
         shard=_shard_document(shard),
         resumed=resumed,
-    )
-
-
-def build_interrupted_manifest(
-    checkpoints: CheckpointStore,
-    names: list[str],
-    scale: float,
-    seed: int,
-    jobs: int,
-    only: tuple[str, ...] | None = None,
-    command: str = "run_all",
-    *,
-    shard: tuple[int, int] | None = None,
-    task_timeout: float | None = None,
-) -> dict[str, Any]:
-    """The partial manifest a SIGINT/SIGTERM run leaves behind.
-
-    Its ``experiments`` section lists only the experiments whose
-    checkpoints verify -- exactly the set a later ``--resume`` may
-    skip.  Span trees and metrics are whatever reached the parent
-    before the interrupt; they are advisory, the hashes are the point.
-    """
-    records = checkpoints.load_all(scale=scale, seed=seed)
-    experiments = {
-        name: {
-            "elapsed_seconds": round(
-                records[name].get("elapsed_seconds", 0.0), 6
-            ),
-            "report_sha256": records[name]["report_sha256"],
-        }
-        for name in names
-        if name in records
-    }
-    gauge("trace_dropped_spans").set(dropped_spans())
-    return build_manifest(
-        command=command,
-        config=_manifest_config(
-            scale, seed, jobs, only, shard, checkpoints.root, task_timeout
-        ),
-        seeds={
-            "root": seed,
-            "derivation": "np.random.SeedSequence(root).spawn per fold",
-        },
-        spans=drain_spans(),
-        metrics=get_registry().snapshot(),
-        experiments=experiments,
-        resources=resources_snapshot(),
-        status="interrupted",
-        shard=_shard_document(shard),
+        merged_from=merged_from,
     )
 
 
@@ -471,19 +396,20 @@ def merge_runs(
     manifest_paths: list[str | Path],
     checkpoint_dir: str | Path | None = None,
 ) -> tuple[dict[str, ExperimentOutput], dict[str, Any]]:
-    """Combine shard/partial manifests into one verified run.
+    """Combine shard/partial runs into one verified run.
 
-    Verifies that every expected experiment (the canonical list, under
-    the manifests' shared ``--only`` filter) is covered exactly once --
-    duplicated entries must agree on their hash -- then reloads each
-    report from the shards' checkpoint stores (or ``checkpoint_dir``
-    when given), re-verifies every ``report_sha256``, and returns the
-    outputs (canonical order, so :func:`render_report` reproduces the
-    uninterrupted serial document byte-for-byte) plus a merged manifest
-    whose ``merged_from`` lists the source run ids.
+    The manifests supply configuration only: their shared scale, seed
+    and ``--only`` filter, and the checkpoint directories to search
+    (``checkpoint_dir`` replaces those when given).  Coverage, hashes
+    and bytes come from the checkpoint stores: every expected
+    experiment needs a verified checkpoint in some store, and two
+    stores holding different reports for one experiment conflict.
+    Returns the outputs (canonical order, so :func:`render_report`
+    reproduces the uninterrupted serial document byte-for-byte) plus a
+    merged manifest whose ``merged_from`` lists the source run ids.
 
-    Raises ``ValueError`` on config mismatch, coverage gaps, hash
-    conflicts, or missing/stale checkpoints.
+    Raises ``ValueError`` on config mismatch, coverage gaps, or
+    conflicting checkpoints.
     """
     if not manifest_paths:
         raise ValueError("no manifests to merge")
@@ -505,81 +431,48 @@ def merge_runs(
                 f"{path}: experiment selection (--only) differs from "
                 f"{first_path}"
             )
-    expected = experiment_names(tuple(only) if only else None)
-    shas: dict[str, str] = {}
-    elapsed: dict[str, float] = {}
-    for path, manifest in manifests:
-        for name, entry in (manifest.get("experiments") or {}).items():
-            sha = entry.get("report_sha256") if isinstance(entry, dict) else None
-            if not sha:
-                continue
-            if shas.get(name, sha) != sha:
-                raise ValueError(
-                    f"conflicting report_sha256 for {name!r} across manifests"
-                )
-            shas[name] = sha
-            elapsed[name] = float(entry.get("elapsed_seconds", 0.0))
-    missing = [name for name in expected if name not in shas]
-    if missing:
-        raise ValueError(
-            "merged manifests do not cover: " + ", ".join(missing)
-        )
-    stores: list[CheckpointStore] = []
+    only = tuple(only) if only else None
     if checkpoint_dir is not None:
-        stores.append(CheckpointStore(checkpoint_dir))
+        directories = [str(checkpoint_dir)]
     else:
-        seen: set[str] = set()
-        for _path, manifest in manifests:
-            directory = (manifest.get("config") or {}).get("checkpoint_dir")
-            if directory and directory not in seen:
-                seen.add(directory)
-                stores.append(CheckpointStore(directory))
-    if not stores:
+        recorded = (
+            (manifest.get("config") or {}).get("checkpoint_dir")
+            for _path, manifest in manifests
+        )
+        directories = [path for path in dict.fromkeys(recorded) if path]
+    if not directories:
         raise ValueError(
             "no checkpoint directory recorded in the manifests; "
             "pass --checkpoint-dir"
         )
-    outputs: dict[str, ExperimentOutput] = {}
-    for name in expected:
-        record = None
-        for store in stores:
-            candidate = store.load(name, scale=scale, seed=seed)
-            if candidate is not None and candidate["report_sha256"] == shas[name]:
-                record = candidate
-                break
-        if record is None:
-            raise ValueError(
-                f"no checkpoint matching the manifest hash for {name!r} "
-                f"(searched {[str(s.root) for s in stores]})"
-            )
-        outputs[name] = ExperimentOutput(
-            experiment=name,
-            report=record["report"],
-            data={"elapsed_seconds": record["elapsed_seconds"]},
+    expected = experiment_names(only)
+    found: dict[str, ExperimentOutput] = {}
+    for directory in directories:
+        restored = load_checkpointed(
+            CheckpointStore(directory), expected, scale, seed
         )
-    merged = build_manifest(
+        for name, output in restored.items():
+            if found.setdefault(name, output).report != output.report:
+                raise ValueError(
+                    f"conflicting checkpoints for {name!r} across "
+                    f"{directories}"
+                )
+    missing = [name for name in expected if name not in found]
+    if missing:
+        raise ValueError(
+            f"checkpoint stores {directories} do not cover: "
+            + ", ".join(missing)
+        )
+    outputs = {name: found[name] for name in expected}
+    merged = build_run_manifest(
+        outputs,
+        scale=scale,
+        seed=seed,
+        jobs=None,
+        only=only,
         command="merge-runs",
-        config=_manifest_config(
-            scale,
-            seed,
-            None,
-            tuple(only) if only else None,
-            None,
-            checkpoint_dir,
-            None,
-        ),
-        seeds={
-            "root": seed,
-            "derivation": "np.random.SeedSequence(root).spawn per fold",
-        },
-        experiments={
-            name: {
-                "elapsed_seconds": round(elapsed[name], 6),
-                "report_sha256": shas[name],
-            }
-            for name in expected
-        },
         merged_from=[manifest.get("run_id") for _path, manifest in manifests],
+        checkpoint_dir=checkpoint_dir,
     )
     return outputs, merged
 
@@ -654,8 +547,7 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="skip experiments whose report_sha256 already appears in a "
-        "prior manifest (and whose checkpoint verifies)",
+        help="skip experiments that already have a verified checkpoint",
     )
     parser.add_argument(
         "--shard",
@@ -669,11 +561,6 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="per-experiment checkpoint directory (default: "
         "<manifest-dir>/checkpoints/<scale-seed key>)",
-    )
-    parser.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        help="do not write per-experiment checkpoints (disables --resume)",
     )
     parser.add_argument(
         "--task-timeout",
@@ -692,8 +579,8 @@ def execute(
 
     Returns ``(exit_code, outputs)``; ``outputs`` is ``None`` when the
     run failed to start or was interrupted (in which case a partial
-    ``"status": "interrupted"`` manifest has been written, unless
-    manifests or checkpoints are disabled).
+    ``"status": "interrupted"`` manifest over the checkpointed
+    experiments has been written, unless manifests are disabled).
     """
     only = tuple(args.only) if args.only else None
     try:
@@ -702,27 +589,14 @@ def execute(
         print(str(error), file=sys.stderr)
         return 2, None
     manifest_dir = Path(getattr(args, "manifest_dir", DEFAULT_MANIFEST_DIR))
-    checkpoints: CheckpointStore | None = None
-    if not getattr(args, "no_checkpoint", False):
-        root = getattr(args, "checkpoint_dir", None) or default_checkpoint_dir(
-            manifest_dir, args.scale, args.seed
-        )
-        checkpoints = CheckpointStore(root)
-    resume_hashes = None
-    if getattr(args, "resume", False):
-        if checkpoints is None:
-            print(
-                "--resume needs checkpoints; drop --no-checkpoint",
-                file=sys.stderr,
-            )
-            return 2, None
-        resume_hashes = collect_resume_hashes(
-            manifest_dir, args.scale, args.seed
-        )
+    checkpoints = CheckpointStore(
+        getattr(args, "checkpoint_dir", None)
+        or default_checkpoint_dir(manifest_dir, args.scale, args.seed)
+    )
     task_timeout = getattr(args, "task_timeout", None)
     retry = RetryPolicy(task_timeout_s=task_timeout) if task_timeout else None
-    names = experiment_names(only, shard)
     drain_spans()  # the manifest should only carry this run's spans
+    status = "completed"
     try:
         with _sigterm_as_interrupt():
             outputs = run_all(
@@ -732,35 +606,22 @@ def execute(
                 jobs=args.jobs,
                 shard=shard,
                 checkpoints=checkpoints,
-                resume_hashes=resume_hashes,
+                resume=getattr(args, "resume", False),
                 retry=retry,
             )
     except KeyboardInterrupt:
-        if not args.no_manifest and checkpoints is not None:
-            manifest = build_interrupted_manifest(
-                checkpoints,
-                names,
-                scale=args.scale,
-                seed=args.seed,
-                jobs=args.jobs,
-                only=only,
-                command=command,
-                shard=shard,
-                task_timeout=task_timeout,
-            )
-            path = write_manifest(manifest, manifest_dir)
-            completed = len(manifest.get("experiments", {}))
-            print(
-                f"interrupted: partial manifest ({completed} completed "
-                f"experiment(s)) -> {path}",
-                file=sys.stderr,
-            )
-        else:
-            print("interrupted (no partial manifest written)", file=sys.stderr)
-        return EXIT_INTERRUPTED, None
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(render_report(outputs, timings=False) + "\n")
+        status = "interrupted"
+        outputs = load_checkpointed(
+            checkpoints, experiment_names(only, shard), args.scale, args.seed
+        )
+        print(
+            f"interrupted with {len(outputs)} experiment(s) checkpointed",
+            file=sys.stderr,
+        )
+    else:
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(render_report(outputs, timings=False) + "\n")
     if not args.no_manifest:
         resumed = [
             name for name, output in outputs.items()
@@ -773,13 +634,16 @@ def execute(
             jobs=args.jobs,
             only=only,
             command=command,
+            status=status,
             shard=shard,
             resumed=resumed,
-            checkpoint_dir=checkpoints.root if checkpoints else None,
+            checkpoint_dir=checkpoints.root,
             task_timeout=task_timeout,
         )
         path = write_manifest(manifest, manifest_dir)
         print(f"run manifest -> {path}", file=sys.stderr)
+    if status == "interrupted":
+        return EXIT_INTERRUPTED, None
     return 0, outputs
 
 

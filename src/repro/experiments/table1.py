@@ -9,9 +9,8 @@ configuration then reports
 
 exactly the two aligned columns of the paper's Table I.
 
-Each (layer, fold) is an independent task routed through
-``repro.runtime.parallel_map``; fold seeds come from
-``common.fold_seeds`` so ``--jobs N`` reproduces serial output exactly.
+Fold seeds come from ``common.fold_seeds``, so each (layer, fold) row
+depends on its own coordinates alone.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from ..attack.baselines import PriorWorkAttack
 from ..attack.config import IMP_7, IMP_9, IMP_11, ML_9, AttackConfig
 from ..attack.framework import evaluate_attack, train_attack
 from ..reporting import ascii_table, format_percent
-from ..runtime import parallel_map
 from .common import (
-    DEFAULT_JOBS,
     DEFAULT_SCALE,
     ExperimentOutput,
     fold_seeds,
@@ -37,9 +34,8 @@ DEFAULT_LAYERS: tuple[int, ...] = (8, 6, 4)
 BASELINE_MARGIN = 1.5
 
 
-def _fold_row(task) -> dict:
+def _fold_row(layer: int, views: list, fold: int, fold_seed: int) -> dict:
     """One (layer, fold) unit: baseline plus every ML configuration."""
-    layer, views, fold, fold_seed = task
     test_view = views[fold]
     training_views = views[:fold] + views[fold + 1 :]
     baseline = PriorWorkAttack().fit(training_views)
@@ -67,16 +63,14 @@ def run(
     scale: float = DEFAULT_SCALE,
     seed: int = 0,
     layers: tuple[int, ...] = DEFAULT_LAYERS,
-    jobs: int = DEFAULT_JOBS,
 ) -> ExperimentOutput:
     """Regenerate Table I at ``scale`` (see module docstring)."""
-    tasks = []
+    fold_rows = []
     for layer in layers:
         views = get_views(layer, scale)
         seeds = fold_seeds(seed, len(views))
         for fold in range(len(views)):
-            tasks.append((layer, views, fold, seeds[fold]))
-    fold_rows = parallel_map(_fold_row, tasks, jobs=jobs)
+            fold_rows.append(_fold_row(layer, views, fold, seeds[fold]))
     rows = []
     data: dict = {}
     for layer in layers:
@@ -135,4 +129,4 @@ def _mean_or_none(values: list) -> float | None:
 
 if __name__ == "__main__":
     args = standard_cli("Reproduce Table I")
-    print(run(scale=args.scale, seed=args.seed, jobs=args.jobs).report)
+    print(run(scale=args.scale, seed=args.seed).report)

@@ -16,7 +16,6 @@ from ..attack.config import IMP_7
 from ..attack.framework import run_loo
 from ..reporting import ascii_table, format_percent
 from .common import (
-    DEFAULT_JOBS,
     DEFAULT_SCALE,
     ExperimentOutput,
     get_views,
@@ -35,15 +34,14 @@ def run(
     scale: float = DEFAULT_SCALE,
     seed: int = 0,
     layers: tuple[int, ...] = DEFAULT_LAYERS,
-    jobs: int = DEFAULT_JOBS,
 ) -> ExperimentOutput:
     """Regenerate Table II at ``scale`` (see module docstring)."""
     rows = []
     data: dict = {}
     for layer in layers:
         views = get_views(layer, scale)
-        rt_results = run_loo(RANDOMTREE_CONFIG, views, seed=seed, jobs=jobs)
-        rep_results = run_loo(REPTREE_CONFIG, views, seed=seed, jobs=jobs)
+        rt_results = run_loo(RANDOMTREE_CONFIG, views, seed=seed)
+        rep_results = run_loo(REPTREE_CONFIG, views, seed=seed)
         layer_data = []
         for rt, rep in zip(rt_results, rep_results):
             layer_data.append(
@@ -109,4 +107,4 @@ def run(
 
 if __name__ == "__main__":
     args = standard_cli("Reproduce Table II")
-    print(run(scale=args.scale, seed=args.seed, jobs=args.jobs).report)
+    print(run(scale=args.scale, seed=args.seed).report)

@@ -15,9 +15,7 @@ import numpy as np
 from ..attack.config import IMP_11
 from ..attack.two_level import run_two_level_fold
 from ..reporting import ascii_table, format_percent
-from ..runtime import parallel_map
 from .common import (
-    DEFAULT_JOBS,
     DEFAULT_SCALE,
     ExperimentOutput,
     fold_seeds,
@@ -28,36 +26,27 @@ from .common import (
 DEFAULT_LAYERS: tuple[int, ...] = (8, 6)
 
 
-def _fold_outcome(task):
-    """One (layer, fold) two-level-pruning unit for the process pool."""
-    _layer, views, test_index, fold_seed = task
-    return run_two_level_fold(IMP_11, views, test_index, seed=fold_seed)
-
-
 def run(
     scale: float = DEFAULT_SCALE,
     seed: int = 0,
     layers: tuple[int, ...] = DEFAULT_LAYERS,
-    jobs: int = DEFAULT_JOBS,
 ) -> ExperimentOutput:
     """Regenerate Table III at ``scale`` (see module docstring)."""
-    tasks = []
+    by_layer: dict[int, list] = {}
     for layer in layers:
         views = get_views(layer, scale)
         seeds = fold_seeds(seed, len(views))
-        for test_index in range(len(views)):
-            tasks.append((layer, views, test_index, seeds[test_index]))
-    outcomes = parallel_map(_fold_outcome, tasks, jobs=jobs)
-    by_layer: dict[int, list] = {}
-    for task, outcome in zip(tasks, outcomes):
-        by_layer.setdefault(task[0], []).append(outcome)
+        by_layer[layer] = [
+            run_two_level_fold(IMP_11, views, test_index, seed=fold_seed)
+            for test_index, fold_seed in enumerate(seeds)
+        ]
     rows = []
     data: dict = {}
     for layer in layers:
         layer_data = []
         runtime_two_level = 0.0
         runtime_plain = 0.0
-        for outcome in by_layer.get(layer, []):
+        for outcome in by_layer[layer]:
             plain = outcome.level1
             pruned = outcome.two_level
             runtime_plain += plain.runtime
@@ -127,4 +116,4 @@ def run(
 
 if __name__ == "__main__":
     args = standard_cli("Reproduce Table III")
-    print(run(scale=args.scale, seed=args.seed, jobs=args.jobs).report)
+    print(run(scale=args.scale, seed=args.seed).report)

@@ -32,7 +32,6 @@ from ..attack.config import (
 from ..attack.framework import run_loo
 from ..reporting import ascii_table, format_percent
 from .common import (
-    DEFAULT_JOBS,
     DEFAULT_SCALE,
     ExperimentOutput,
     get_views,
@@ -51,7 +50,6 @@ def run(
     scale: float = DEFAULT_SCALE,
     seed: int = 0,
     layers: tuple[int, ...] = DEFAULT_LAYERS,
-    jobs: int = DEFAULT_JOBS,
 ) -> ExperimentOutput:
     """Regenerate Table IV at ``scale`` (see module docstring)."""
     rows = []
@@ -63,7 +61,7 @@ def run(
             configs = BASE_CONFIGS + TOP_LAYER_EXTRA
         layer_data = {}
         for config in configs:
-            results = run_loo(config, views, seed=seed, jobs=jobs)
+            results = run_loo(config, views, seed=seed)
             fractions, accuracies = mean_curve(results)
             entry = {
                 "fraction_at_accuracy": {
@@ -110,4 +108,4 @@ def run(
 
 if __name__ == "__main__":
     args = standard_cli("Reproduce Table IV")
-    print(run(scale=args.scale, seed=args.seed, jobs=args.jobs).report)
+    print(run(scale=args.scale, seed=args.seed).report)

@@ -8,7 +8,7 @@ from .cells import (
     make_standard_library,
 )
 from .design import Design, Route, RouteSegment, Via
-from .visualize import layer_usage_chart, placement_map, vpin_map, wire_density_map
+from .visualize import vpin_map
 from .geometry import Point, Rect, bounding_box, centroid, hpwl, snap, snap_point
 from .io import design_from_dict, design_to_dict, load_design, save_design
 from .netlist import CellInstance, Net, Netlist, PinRef
@@ -42,14 +42,11 @@ __all__ = [
     "design_from_dict",
     "design_to_dict",
     "hpwl",
-    "layer_usage_chart",
     "load_design",
     "make_default_technology",
     "make_standard_library",
-    "placement_map",
     "save_design",
     "snap",
     "snap_point",
     "vpin_map",
-    "wire_density_map",
 ]

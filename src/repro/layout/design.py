@@ -116,16 +116,6 @@ class Design:
     def total_wirelength(self) -> float:
         return sum(r.wirelength for r in self.routes.values())
 
-    def wirelength_by_layer(self) -> dict[int, float]:
-        """Total routed wirelength per metal layer (congestion profile)."""
-        totals: dict[int, float] = {
-            m.index: 0.0 for m in self.technology.metal_layers
-        }
-        for route in self.routes.values():
-            for seg in route.segments:
-                totals[seg.layer] += seg.length
-        return totals
-
     def vias_by_layer(self) -> dict[int, int]:
         """Number of vias per via layer (v-pin counts before the cut)."""
         counts: dict[int, int] = {

@@ -1,15 +1,13 @@
-"""ASCII visualization of layouts and split views.
+"""ASCII visualization of split views.
 
-Terminal-renderable density maps: cell placement, per-layer wire usage,
-and v-pin scatter.  Useful for eyeballing what the generator produced and
-for the examples/illustrations; not a GDS viewer.
+A terminal-renderable v-pin density map, printed by ``repro split
+--map``; not a GDS viewer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .design import Design
 from .geometry import Rect
 
 _SHADES = " .:-=+*#%@"
@@ -36,50 +34,14 @@ def _bin_points(
     die: Rect,
     cols: int,
     rows: int,
-    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     grid = np.zeros((rows, cols))
     if len(xs) == 0:
         return grid
     ci = np.clip(((xs - die.xlo) / max(die.width, 1e-9) * cols).astype(int), 0, cols - 1)
     ri = np.clip(((ys - die.ylo) / max(die.height, 1e-9) * rows).astype(int), 0, rows - 1)
-    np.add.at(grid, (ri, ci), 1.0 if weights is None else weights)
+    np.add.at(grid, (ri, ci), 1.0)
     return grid
-
-
-def placement_map(design: Design, cols: int = 64, rows: int = 24) -> str:
-    """Cell-area density over the die (macros dominate their bins)."""
-    xs, ys, weights = [], [], []
-    for cell in design.netlist.cells:
-        if cell.location is None:
-            continue
-        center = cell.outline.center
-        xs.append(center.x)
-        ys.append(center.y)
-        weights.append(cell.area)
-    grid = _bin_points(
-        np.array(xs), np.array(ys), design.die, cols, rows, np.array(weights)
-    )
-    return _render(grid, f"placement density ({design.name})")
-
-
-def wire_density_map(
-    design: Design, layer: int, cols: int = 64, rows: int = 24
-) -> str:
-    """Routed wirelength density on one metal layer (segment midpoints)."""
-    design.technology.metal(layer)  # validates the index
-    xs, ys, weights = [], [], []
-    for route in design.routes.values():
-        for seg in route.segments:
-            if seg.layer != layer or seg.length == 0:
-                continue
-            xs.append((seg.a.x + seg.b.x) / 2)
-            ys.append((seg.a.y + seg.b.y) / 2)
-            weights.append(seg.length)
-    grid = _bin_points(
-        np.array(xs), np.array(ys), design.die, cols, rows, np.array(weights)
-    )
-    return _render(grid, f"M{layer} wire density ({design.name})")
 
 
 def vpin_map(view, cols: int = 64, rows: int = 24) -> str:
@@ -92,15 +54,3 @@ def vpin_map(view, cols: int = 64, rows: int = 24) -> str:
         f"v-pin density ({view.design_name}, split V{view.split_layer}, "
         f"{len(view)} v-pins)",
     )
-
-
-def layer_usage_chart(design: Design) -> str:
-    """Horizontal bar chart of wirelength per metal layer."""
-    totals = design.wirelength_by_layer()
-    peak = max(totals.values()) if totals else 1.0
-    lines = [f"wirelength by layer ({design.name})"]
-    for layer in sorted(totals, reverse=True):
-        bar = "#" * int(40 * totals[layer] / peak) if peak else ""
-        direction = design.technology.direction(layer).value
-        lines.append(f"  M{layer} ({direction}) {totals[layer]:10.0f} {bar}")
-    return "\n".join(lines)

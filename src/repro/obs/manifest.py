@@ -19,12 +19,13 @@ Schema history:
 * **v3** -- adds the fault-tolerant-runtime fields: ``status``
   (``"completed"`` for a clean finish, ``"interrupted"`` for a partial
   manifest written on SIGINT/SIGTERM -- its ``experiments`` section
-  then lists only the finished hashes, exactly what ``--resume``
-  consumes), ``shard`` (``{"index": i, "count": N}`` for a
-  ``--shard i/N`` partition, else ``null``), ``resumed`` (experiment
-  names skipped because a prior manifest already proved their hashes),
-  and ``merged_from`` (source run ids of a ``repro merge-runs``
-  combination).  :func:`load_manifest` reads all versions: older
+  then lists only the experiments with verified checkpoints),
+  ``shard`` (``{"index": i, "count": N}`` for a ``--shard i/N``
+  partition, else ``null``), ``resumed`` (experiment names restored
+  from verified checkpoints instead of re-run), and ``merged_from``
+  (source run ids of a ``repro merge-runs`` combination).  Neither
+  ``--resume`` nor ``merge-runs`` reads the recorded hashes: the
+  checkpoint store is the one record of finished work.  :func:`load_manifest` reads all versions: older
   documents come back with the new sections defaulted
   (``status: "completed"``), so downstream tools never branch on
   version.

@@ -1,4 +1,4 @@
-"""Plain-text reporting: ASCII tables, CSV dumps, paper-vs-measured rows.
+"""Plain-text reporting: value formatting and ASCII tables.
 
 Every experiment module renders its output through these helpers so the
 benchmark harness and the examples produce uniform, diffable text.
@@ -6,8 +6,6 @@ benchmark harness and the examples produce uniform, diffable text.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from typing import Any, Sequence
 
@@ -71,25 +69,3 @@ def ascii_table(
         out.append(line(row))
     out.append(separator)
     return "\n".join(out)
-
-
-def csv_dump(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Render rows as CSV text (for EXPERIMENTS.md appendices)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(["" if cell is None else cell for cell in row])
-    return buffer.getvalue()
-
-
-def paper_comparison(
-    title: str,
-    rows: Sequence[tuple[str, str, str]],
-) -> str:
-    """A 'metric | paper | measured' block for EXPERIMENTS.md."""
-    return ascii_table(
-        ("metric (shape target)", "paper", "this reproduction"),
-        rows,
-        title=title,
-    )

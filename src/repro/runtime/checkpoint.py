@@ -1,8 +1,9 @@
 """Atomic per-experiment checkpoints: the recovery units of ``run_all``.
 
-A run manifest proves *what* a finished experiment produced (its
-``report_sha256``); a checkpoint additionally keeps the *bytes* -- the
-rendered report section -- so an interrupted or sharded run can be
+A checkpoint keeps the *bytes* of a finished experiment -- the rendered
+report section -- and their ``report_sha256``.  The checkpoint store is
+the one record of finished work: ``--resume`` and ``repro merge-runs``
+read it, not run manifests, so an interrupted, killed or sharded run is
 resumed/merged into a combined report byte-identical to an
 uninterrupted one without re-running the finished work.
 

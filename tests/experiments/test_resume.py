@@ -1,10 +1,10 @@
 """Tests for the resumable, sharded, fault-tolerant experiment runtime.
 
-Covers checkpointing during a run, ``--resume`` (skipping experiments a
-prior manifest already proved), ``--shard i/N`` partitioning plus
-``repro merge-runs``, the interrupted partial manifest, and the chaos
-contract: a run surviving SIGKILLed workers renders a report
-byte-identical to ``--jobs 1``.
+Covers checkpointing during a run, ``--resume`` (skipping experiments
+with a verified checkpoint), ``--shard i/N`` partitioning plus
+``repro merge-runs`` over the shards' checkpoint stores, the
+interrupted partial manifest, and the chaos contract: a run surviving
+SIGKILLed workers renders a report byte-identical to ``--jobs 1``.
 """
 
 import argparse
@@ -17,7 +17,6 @@ from repro.experiments import common
 from repro.experiments import run_all as run_all_module
 from repro.experiments.run_all import (
     EXIT_INTERRUPTED,
-    collect_resume_hashes,
     default_checkpoint_dir,
     execute,
     experiment_names,
@@ -111,13 +110,9 @@ class TestResume:
             ]
         )
 
-    def test_resume_skips_proven_experiments(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        assert self._run(tmp_path) == 0
-        first = (tmp_path / "out0.txt").read_bytes()
+    def _forbid_reruns(self, monkeypatch):
+        """Running either experiment again would explode."""
 
-        # Prove the skip: running either experiment again would explode.
         def _explode(**kwargs):
             raise AssertionError("experiment re-ran despite --resume")
 
@@ -125,6 +120,13 @@ class TestResume:
             monkeypatch.setattr(
                 run_all_module.EXPERIMENTS_BY_NAME[name], "run", _explode
             )
+
+    def test_resume_skips_proven_experiments(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        assert self._run(tmp_path) == 0
+        first = (tmp_path / "out0.txt").read_bytes()
+        self._forbid_reruns(monkeypatch)
         get_registry().reset()
         assert self._run(tmp_path, "--resume") == 0
         assert (tmp_path / "out1.txt").read_bytes() == first
@@ -138,15 +140,32 @@ class TestResume:
         assert sorted(document["experiments"]) == sorted(ONLY)
         capsys.readouterr()
 
+    def test_resume_needs_no_manifest(self, tmp_path, capsys, monkeypatch):
+        """A runner SIGKILLed or OOM-killed writes no manifest; its
+        verified checkpoints alone must carry a resume."""
+        assert self._run(tmp_path) == 0
+        first = (tmp_path / "out0.txt").read_bytes()
+        for path in (tmp_path / "runs").glob("*.json"):
+            path.unlink()
+        self._forbid_reruns(monkeypatch)
+        get_registry().reset()
+        assert self._run(tmp_path, "--resume") == 0
+        assert (tmp_path / "out1.txt").read_bytes() == first
+        counters = get_registry().snapshot()["counters"]
+        assert counters["experiments_resumed"] == len(ONLY)
+        (path,) = (tmp_path / "runs").glob("*.json")
+        assert sorted(load_manifest(path)["resumed"]) == sorted(ONLY)
+        capsys.readouterr()
+
     def test_stale_checkpoint_forces_rerun(self, tmp_path, capsys):
         assert self._run(tmp_path) == 0
         store = CheckpointStore(
             default_checkpoint_dir(tmp_path / "runs", SCALE, 0)
         )
-        # Tamper with one checkpoint: its hash no longer matches the
-        # manifest, so --resume must re-run that experiment (and still
-        # produce the same bytes).
-        store.save("figure4", scale=SCALE, seed=0, report="stale")
+        # Garble one checkpoint: it no longer verifies, so --resume must
+        # re-run that experiment (and still produce the same bytes).
+        path = store.path("figure4")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         get_registry().reset()
         assert self._run(tmp_path, "--resume") == 0
         assert (
@@ -155,35 +174,9 @@ class TestResume:
         )
         counters = get_registry().snapshot()["counters"]
         assert counters["experiments_resumed"] == 1  # figure8 only
+        assert counters["checkpoints_invalid"] >= 1
+        assert store.load("figure4", scale=SCALE, seed=0) is not None
         capsys.readouterr()
-
-    def test_collect_resume_hashes_ignores_other_runs(self, tmp_path):
-        write_manifest(
-            build_manifest(
-                command="run_all",
-                config={"scale": SCALE, "seed": 0},
-                seeds={"root": 0},
-                experiments={"figure4": {"report_sha256": "a" * 64}},
-            ),
-            tmp_path,
-        )
-        write_manifest(
-            build_manifest(
-                command="run_all",
-                config={"scale": 0.2, "seed": 0},  # different run family
-                seeds={"root": 0},
-                experiments={"figure8": {"report_sha256": "b" * 64}},
-            ),
-            tmp_path,
-        )
-        (tmp_path / "torn.json").write_text("{nope")  # skipped quietly
-        hashes = collect_resume_hashes(tmp_path, SCALE, 0)
-        assert hashes == {"figure4": "a" * 64}
-
-    def test_resume_requires_checkpoints(self, tmp_path, capsys):
-        rc = self._run(tmp_path, "--resume", "--no-checkpoint")
-        assert rc == 2
-        assert "--no-checkpoint" in capsys.readouterr().err
 
 
 def _args(tmp_path, **overrides):
@@ -199,7 +192,6 @@ def _args(tmp_path, **overrides):
         "resume": False,
         "shard": None,
         "checkpoint_dir": None,
-        "no_checkpoint": False,
         "task_timeout": None,
     }
     values.update(overrides)
@@ -269,7 +261,8 @@ class TestShardAndMerge:
         assert main(
             [
                 "--scale", str(SCALE), "--only", *ONLY, "--no-cache",
-                "--no-manifest", "--no-checkpoint", "--out", str(clean),
+                "--no-manifest", "--checkpoint-dir", str(tmp_path / "clean"),
+                "--out", str(clean),
             ]
         ) == 0
         for shard in ("1/2", "2/2"):
@@ -305,75 +298,62 @@ class TestShardAndMerge:
         assert sorted(document["experiments"]) == sorted(ONLY)
         capsys.readouterr()
 
-    def _manifest(self, tmp_path, experiments, **config):
+    def _shard(self, tmp_path, directory, reports, **config):
+        """A shard manifest whose checkpoint store holds ``reports``."""
+        store = CheckpointStore(tmp_path / directory)
+        for name, report in reports.items():
+            store.save(name, scale=SCALE, seed=0, report=report)
         document = build_manifest(
             command="run_all",
             config={
                 "scale": SCALE,
                 "seed": 0,
                 "only": list(ONLY),
-                "checkpoint_dir": str(tmp_path / "cp"),
+                "checkpoint_dir": str(store.root),
                 **config,
             },
             seeds={"root": 0},
-            experiments=experiments,
         )
         return write_manifest(document, tmp_path / "runs")
 
     def test_merge_rejects_coverage_gap(self, tmp_path):
-        path = self._manifest(
-            tmp_path, {"figure4": {"report_sha256": "a" * 64}}
-        )
+        path = self._shard(tmp_path, "a", {"figure4": "r4"})
         with pytest.raises(ValueError, match="do not cover: figure8"):
             merge_runs([path])
 
     def test_merge_rejects_hash_conflict(self, tmp_path):
-        a = self._manifest(tmp_path, {"figure4": {"report_sha256": "a" * 64}})
-        b = self._manifest(tmp_path, {"figure4": {"report_sha256": "b" * 64}})
-        with pytest.raises(ValueError, match="conflicting report_sha256"):
+        a = self._shard(tmp_path, "a", {"figure4": "r4", "figure8": "r8"})
+        b = self._shard(tmp_path, "b", {"figure4": "other"})
+        with pytest.raises(ValueError, match="conflicting checkpoints"):
             merge_runs([a, b])
 
     def test_merge_rejects_mismatched_config(self, tmp_path):
-        a = self._manifest(tmp_path, {"figure4": {"report_sha256": "a" * 64}})
-        b = self._manifest(
-            tmp_path, {"figure8": {"report_sha256": "b" * 64}}, seed=1
-        )
+        a = self._shard(tmp_path, "a", {"figure4": "r4"})
+        b = self._shard(tmp_path, "b", {"figure8": "r8"}, seed=1)
         with pytest.raises(ValueError, match="scale/seed differs"):
             merge_runs([a, b])
 
     def test_merge_rejects_missing_checkpoint(self, tmp_path):
-        store = CheckpointStore(tmp_path / "cp")
-        store.save("figure4", scale=SCALE, seed=0, report="r4")
-        sha4 = store.load("figure4")["report_sha256"]
-        path = self._manifest(
-            tmp_path,
-            {
-                "figure4": {"report_sha256": sha4},
-                "figure8": {"report_sha256": "b" * 64},  # never checkpointed
-            },
-        )
-        with pytest.raises(ValueError, match="figure8"):
+        """A checkpoint that fails verification covers nothing."""
+        path = self._shard(tmp_path, "a", {"figure4": "r4", "figure8": "r8"})
+        torn = CheckpointStore(tmp_path / "a").path("figure8")
+        torn.write_bytes(torn.read_bytes()[:-20])
+        with pytest.raises(ValueError, match="do not cover: figure8"):
             merge_runs([path])
 
     def test_merge_verifies_and_orders_from_checkpoints(self, tmp_path):
-        store = CheckpointStore(tmp_path / "cp")
-        shas = {}
-        for name, report in (("figure4", "r4"), ("figure8", "r8")):
-            store.save(name, scale=SCALE, seed=0, report=report)
-            shas[name] = store.load(name)["report_sha256"]
         # Shards arrive in reverse order; the merge must restore the
-        # canonical one.
-        b = self._manifest(
-            tmp_path, {"figure8": {"report_sha256": shas["figure8"]}}
-        )
-        a = self._manifest(
-            tmp_path, {"figure4": {"report_sha256": shas["figure4"]}}
-        )
+        # canonical one.  A report found in both stores agrees.
+        b = self._shard(tmp_path, "b", {"figure8": "r8", "figure4": "r4"})
+        a = self._shard(tmp_path, "a", {"figure4": "r4"})
         outputs, merged = merge_runs([b, a])
         assert list(outputs) == ["figure4", "figure8"]
         assert outputs["figure4"].report == "r4"
+        assert outputs["figure8"].report == "r8"
         assert merged["command"] == "merge-runs"
+        assert merged["status"] == "completed"
         assert len(merged["merged_from"]) == 2
+        assert sorted(merged["experiments"]) == sorted(ONLY)
 
 
 class TestChaosByteIdentity:

@@ -209,7 +209,7 @@ class TestRunManifest:
                 "--only", "figure4",
                 "--no-cache",
                 "--no-manifest",
-                "--no-checkpoint",
+                "--checkpoint-dir", str(tmp_path / "cp"),
                 "--manifest-dir", str(tmp_path / "runs"),
             ]
         )

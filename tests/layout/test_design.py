@@ -124,10 +124,6 @@ class TestDesignValidation:
 
 class TestDesignQueries:
     def test_benchmark_design_queries(self, small_design):
-        by_layer = small_design.wirelength_by_layer()
-        assert sum(by_layer.values()) == pytest.approx(
-            small_design.total_wirelength
-        )
         vias = small_design.vias_by_layer()
         assert set(vias) == set(range(1, 9))
         # Lower via layers carry more vias than higher ones.

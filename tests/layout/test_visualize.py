@@ -1,46 +1,7 @@
-"""Tests for the ASCII layout visualizations."""
+"""Tests for the ASCII v-pin map."""
 
-import pytest
-
-from repro.layout.visualize import (
-    layer_usage_chart,
-    placement_map,
-    vpin_map,
-    wire_density_map,
-)
+from repro.layout.visualize import vpin_map
 from repro.splitmfg.vpin_features import make_split_view
-
-
-class TestPlacementMap:
-    def test_dimensions(self, small_design):
-        out = placement_map(small_design, cols=32, rows=10)
-        lines = out.splitlines()
-        assert len(lines) == 12  # title + 10 rows + peak line
-        assert all(len(line) == 34 for line in lines[1:-1])  # |...| borders
-
-    def test_macros_dominate_the_density_peaks(self, small_design):
-        """The macro bins render at the darkest shades; the sea of
-        standard cells spreads thin across many bins."""
-        out = placement_map(small_design, cols=32, rows=10)
-        body = "".join(line[1:-1] for line in out.splitlines()[1:-1])
-        assert "@" in body  # the peak (a macro bin)
-        # The peak weight is a macro's area, far above a row of cells.
-        peak = float(out.splitlines()[-1].split("=")[1].strip(" )"))
-        macro_area = max(
-            c.area for c in small_design.netlist.cells if c.master.is_macro
-        )
-        assert peak >= macro_area
-
-
-class TestWireDensity:
-    def test_each_layer_renders(self, small_design):
-        for layer in (1, 6, 9):
-            out = wire_density_map(small_design, layer, cols=16, rows=6)
-            assert f"M{layer}" in out
-
-    def test_invalid_layer(self, small_design):
-        with pytest.raises(ValueError):
-            wire_density_map(small_design, 42)
 
 
 class TestVpinMap:
@@ -56,18 +17,3 @@ class TestVpinMap:
         view.invalidate_cache()
         out = vpin_map(view, cols=10, rows=4)
         assert "0 v-pins" in out
-
-
-class TestLayerUsage:
-    def test_all_layers_listed(self, small_design):
-        out = layer_usage_chart(small_design)
-        for layer in range(1, 10):
-            assert f"M{layer} " in out
-
-    def test_directions_annotated(self, small_design):
-        out = layer_usage_chart(small_design)
-        assert "(H)" in out and "(V)" in out
-
-    def test_lower_layers_carry_more_wire(self, small_design):
-        totals = small_design.wirelength_by_layer()
-        assert totals[2] > totals[9]

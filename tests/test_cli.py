@@ -103,7 +103,7 @@ class TestParser:
             "--out", "report.txt", "--jobs", "2", "--manifest-dir", "runs",
             "--no-manifest", "--no-cache", "--cache-dir", "cache",
             "--resume", "--shard", "1/2", "--checkpoint-dir", "ckpt",
-            "--no-checkpoint", "--task-timeout", "5",
+            "--task-timeout", "5",
         ]
         for argv in ([], flags):
             cli = vars(build_parser().parse_args([alias, *argv]))
@@ -352,7 +352,8 @@ class TestCommands:
                 "--only",
                 "figure4",
                 "--no-manifest",
-                "--no-checkpoint",
+                "--checkpoint-dir",
+                str(tmp_path / "cp"),
                 "--manifest-dir",
                 str(tmp_path / "runs"),
             ]

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.reporting import (
-    ascii_table,
-    csv_dump,
-    format_percent,
-    format_value,
-    paper_comparison,
-)
+from repro.reporting import ascii_table, format_percent, format_value
 
 
 class TestFormatting:
@@ -55,19 +49,3 @@ class TestAsciiTable:
     def test_row_length_mismatch(self):
         with pytest.raises(ValueError):
             ascii_table(("a", "b"), [(1,)])
-
-
-class TestCsvDump:
-    def test_header_and_rows(self):
-        text = csv_dump(("a", "b"), [(1, None), ("x,y", 2)])
-        lines = text.strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,"
-        assert lines[2] == '"x,y",2'
-
-
-class TestPaperComparison:
-    def test_renders(self):
-        block = paper_comparison("T", [("metric", "1.0", "0.9")])
-        assert "paper" in block
-        assert "this reproduction" in block
